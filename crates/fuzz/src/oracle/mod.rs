@@ -3,10 +3,12 @@
 //!
 //! The explorer answers one question about a workload, independently of
 //! delay injection: *does any thread schedule make an instrumented access
-//! raise a NULL-reference exception?* It walks a time-free mirror of the
-//! engine's semantics — same heap state machine, same FIFO locks, same
-//! sticky events, same join/task rules — enumerating schedules in the
-//! CHESS style: context switches are free at blocking points and cost one
+//! raise a NULL-reference exception?* It drives the same step kernel as
+//! the engine, [`waffle_sim::semantics`], under a time-free policy: the
+//! kernel executes every transition (heap state machine, FIFO locks,
+//! sticky events, join/task rules, store buffers) and the explorer only
+//! chooses which thread runs next and when a buffered store commits,
+//! enumerating schedules in the CHESS style: context switches are free at blocking points and cost one
 //! unit of a *preemption budget* at instrumented accesses.
 //!
 //! Preemption points are placed **only** at [`Op::Access`](waffle_sim::Op) boundaries
@@ -37,7 +39,8 @@ mod reduction;
 mod state;
 
 use waffle_mem::{NullRefKind, ObjectId};
-use waffle_sim::{MemoryModel, Workload};
+use waffle_sim::semantics::{Effects, Status};
+use waffle_sim::{MemoryModel, ThreadId, Workload};
 
 use reduction::{
     filter_sleep, fnv128, sleep_fingerprint, sleep_get, sleep_insert, sleep_subset, Footprint,
@@ -227,12 +230,15 @@ impl Frame {
 /// unreduced exploration reproduces its traversal and witnesses.
 fn enumerate_choices(s: &OState, w: &Workload, budget: u32, out: &mut Vec<Choice>) {
     out.clear();
-    if s.model.is_weak() {
-        for t in (0..s.threads.len()).rev() {
-            let start = out.len();
-            s.push_committable(t, out);
-            out[start..].reverse();
-        }
+    let n = s.k.threads().len() as u32;
+    for t in (0..n).rev().filter(|_| s.k.buffered() > 0) {
+        let start = out.len();
+        out.extend(s.k.committable(ThreadId(t)).map(|(idx, e)| Choice::Drain {
+            thread: t,
+            idx: idx as u32,
+            obj: e.obj.0,
+        }));
+        out[start..].reverse();
     }
     match s.running {
         Some(t) => {
@@ -241,13 +247,10 @@ fn enumerate_choices(s: &OState, w: &Workload, budget: u32, out: &mut Vec<Choice
             // store stretches the drain arbitrarily, so any work other
             // threads do before the flush is reachable without a
             // preemption.
-            let free = !s.at_access(w, t as usize);
+            let free = !s.at_access(w, t);
             if free || budget > 0 {
-                for u in (0..s.threads.len()).rev() {
-                    if u as u32 != t && s.threads[u].status == state::Status::Ready {
-                        out.push(Choice::Switch(u as u32));
-                    }
-                }
+                let others = (0..n).rev().filter(|&u| u != t && s.ready(u));
+                out.extend(others.map(Choice::Switch));
             }
             out.push(Choice::Continue);
         }
@@ -255,11 +258,7 @@ fn enumerate_choices(s: &OState, w: &Workload, budget: u32, out: &mut Vec<Choice
             // Free choice: the previous thread blocked or exited. No ready
             // thread means termination or deadlock — terminal either way,
             // and not a manifestation.
-            for u in (0..s.threads.len()).rev() {
-                if s.threads[u].status == state::Status::Ready {
-                    out.push(Choice::Switch(u as u32));
-                }
-            }
+            out.extend((0..n).rev().filter(|&u| s.ready(u)).map(Choice::Switch));
         }
     }
 }
@@ -268,7 +267,7 @@ fn enumerate_choices(s: &OState, w: &Workload, budget: u32, out: &mut Vec<Choice
 /// nothing committable) is a deadlock iff some thread never finished —
 /// blocked on a lock, event, or join that can no longer be satisfied.
 fn is_deadlock(s: &OState) -> bool {
-    s.threads.iter().any(|t| t.status != state::Status::Done)
+    s.k.threads().iter().any(|t| t.status != Status::Done)
 }
 
 /// Exhaustively explores schedules of `workload` within the preemption
@@ -281,6 +280,7 @@ pub fn explore(workload: &Workload, config: &OracleConfig) -> OracleReport {
     let mut revisits: u64 = 0;
     let mut memo = StateMemo::new(config.max_states);
     let mut scratch = EncodeScratch::default();
+    let mut fx = Effects::default();
 
     let mut deadlocks: u64 = 0;
 
@@ -300,8 +300,7 @@ pub fn explore(workload: &Workload, config: &OracleConfig) -> OracleReport {
     frames.push(Frame::new(workload, config.memory));
     {
         let root = &mut frames[0];
-        let mut fp = Footprint::default();
-        root.state.advance_to_decision(workload, &mut fp);
+        root.state.advance_to_decision(workload, &mut fx);
         root.budget = config.preemption_bound;
         root.state.encode_into(&mut scratch);
         root.state_fp = fnv128(&scratch.buf);
@@ -380,7 +379,7 @@ pub fn explore(workload: &Workload, config: &OracleConfig) -> OracleReport {
 
         let parent_cost = f.node_cost;
         let parent_budget = f.budget;
-        let mut fp = Footprint::default();
+        fx.footprint = Footprint::default();
         let mut child_budget = parent_budget;
         let edge_thread;
         match choice {
@@ -388,12 +387,11 @@ pub fn explore(workload: &Workload, config: &OracleConfig) -> OracleReport {
                 let t = child
                     .state
                     .running
-                    .expect("continue edge requires a running thread")
-                    as usize;
-                edge_thread = t as u32;
+                    .expect("continue edge requires a running thread");
+                edge_thread = t;
                 if child.state.at_access(workload, t) {
-                    match child.state.exec_access(workload, t, &mut fp) {
-                        Err((kind, obj)) => {
+                    match child.state.k.commit_access(workload, ThreadId(t), &mut fx, |_, _| ()) {
+                        Err(e) => {
                             let mut witness: Vec<ScheduleStep> = left[1..=depth]
                                 .iter()
                                 .map(|fr| fr.via.step())
@@ -401,8 +399,8 @@ pub fn explore(workload: &Workload, config: &OracleConfig) -> OracleReport {
                             witness.push(ScheduleStep::Continue);
                             return report(
                                 OracleVerdict::Exposable {
-                                    kind,
-                                    obj,
+                                    kind: e.kind,
+                                    obj: e.obj,
                                     preemptions: config.preemption_bound - parent_budget,
                                 },
                                 states_explored,
@@ -413,18 +411,13 @@ pub fn explore(workload: &Workload, config: &OracleConfig) -> OracleReport {
                                 deadlocks,
                             );
                         }
-                        Ok(()) => child.state.advance_to_decision(workload, &mut fp),
+                        Ok(_) => child.state.advance_to_decision(workload, &mut fx),
                     }
                 } else {
                     // Parked at a flush point (weak model): continuing
                     // drains the buffer and executes the op.
-                    let op = child
-                        .state
-                        .op_at(workload, t)
-                        .expect("flush-point park has a current op")
-                        .clone();
-                    child.state.exec_simple(t, &op, &mut fp);
-                    child.state.advance_to_decision(workload, &mut fp);
+                    child.state.k.step(workload, ThreadId(t), &mut fx);
+                    child.state.advance_to_decision(workload, &mut fx);
                 }
             }
             Choice::Switch(u) => {
@@ -433,17 +426,18 @@ pub fn explore(workload: &Workload, config: &OracleConfig) -> OracleReport {
                     child_budget = parent_budget - 1;
                 }
                 child.state.running = Some(u);
-                child.state.advance_to_decision(workload, &mut fp);
+                child.state.advance_to_decision(workload, &mut fx);
             }
-            Choice::Drain { thread, idx, obj } => {
+            Choice::Drain { thread, idx, .. } => {
                 edge_thread = thread;
                 child
                     .state
-                    .commit_one(thread as usize, idx as usize)
+                    .k
+                    .commit_store(ThreadId(thread), idx as usize, &mut fx)
                     .expect("enumerated drain choice is committable");
-                fp.obj(obj);
             }
         }
+        let fp = fx.footprint;
 
         // Sleep bookkeeping. The child inherits the parent entries the
         // edge is independent of; the edge itself goes to sleep for the
@@ -543,42 +537,41 @@ pub fn replay_schedule(
     steps: &[ScheduleStep],
 ) -> Option<ReplayOutcome> {
     let mut s = OState::new(workload, memory);
-    let mut fp = Footprint::default();
-    s.advance_to_decision(workload, &mut fp);
+    let mut fx = Effects::default();
+    s.advance_to_decision(workload, &mut fx);
     let mut preemptions = 0u32;
     for &step in steps {
         match step {
             ScheduleStep::Continue => {
-                let t = s.running? as usize;
+                let t = s.running?;
                 if s.at_access(workload, t) {
-                    match s.exec_access(workload, t, &mut fp) {
-                        Err((kind, obj)) => {
+                    match s.k.commit_access(workload, ThreadId(t), &mut fx, |_, _| ()) {
+                        Err(e) => {
                             return Some(ReplayOutcome {
-                                kind,
-                                obj,
+                                kind: e.kind,
+                                obj: e.obj,
                                 preemptions,
                             })
                         }
-                        Ok(()) => s.advance_to_decision(workload, &mut fp),
+                        Ok(_) => s.advance_to_decision(workload, &mut fx),
                     }
                 } else {
-                    let op = s.op_at(workload, t)?.clone();
-                    s.exec_simple(t, &op, &mut fp);
-                    s.advance_to_decision(workload, &mut fp);
+                    s.k.step(workload, ThreadId(t), &mut fx);
+                    s.advance_to_decision(workload, &mut fx);
                 }
             }
             ScheduleStep::Switch(u) => {
                 if s.switch_cost(workload) == 1 {
                     preemptions += 1;
                 }
-                if s.threads.get(u as usize)?.status != state::Status::Ready {
+                if s.k.threads().get(u as usize)?.status != Status::Ready {
                     return None;
                 }
                 s.running = Some(u);
-                s.advance_to_decision(workload, &mut fp);
+                s.advance_to_decision(workload, &mut fx);
             }
             ScheduleStep::Drain { thread, idx } => {
-                s.commit_one(thread as usize, idx as usize)?;
+                s.k.commit_store(ThreadId(thread), idx as usize, &mut fx)?;
             }
         }
     }

@@ -32,52 +32,7 @@
 //! by the reduced-vs-unreduced differential suite
 //! (`tests/oracle_equivalence.rs`).
 
-/// Conservative static footprint of one explored transition: which
-/// objects, locks, and events it touched, and whether it is globally
-/// dependent (thread-table or task-queue mutation). Sets are 64-bit
-/// Bloom-style masks (`id & 63`); a false overlap only loses reduction,
-/// never soundness.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct Footprint {
-    objs: u64,
-    locks: u64,
-    events: u64,
-    global: bool,
-}
-
-impl Footprint {
-    /// Records a read or write of object `o`.
-    pub(crate) fn obj(&mut self, o: u32) {
-        self.objs |= 1u64 << (o & 63);
-    }
-
-    /// Records an acquire/release/handoff on lock `l`.
-    pub(crate) fn lock(&mut self, l: u32) {
-        self.locks |= 1u64 << (l & 63);
-    }
-
-    /// Records a signal/wait on event `e`.
-    pub(crate) fn event(&mut self, e: u32) {
-        self.events |= 1u64 << (e & 63);
-    }
-
-    /// Marks the transition dependent with everything (fork, join, exit,
-    /// throw, task spawn/run).
-    pub(crate) fn mark_global(&mut self) {
-        self.global = true;
-    }
-
-    /// Whether the transition is dependent with everything.
-    pub(crate) fn is_global(&self) -> bool {
-        self.global
-    }
-
-    fn overlaps(&self, other: &Footprint) -> bool {
-        self.objs & other.objs != 0
-            || self.locks & other.locks != 0
-            || self.events & other.events != 0
-    }
-}
+pub(crate) use waffle_sim::semantics::Footprint;
 
 /// Identity of a schedule transition for sleep-set membership.
 ///
@@ -324,6 +279,7 @@ impl StateMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use waffle_mem::ObjectId;
 
     fn entry(id: TransId) -> SleepEntry {
         SleepEntry {
@@ -354,7 +310,7 @@ mod tests {
     #[test]
     fn dependence_is_conservative() {
         let mut fp_a = Footprint::default();
-        fp_a.obj(7);
+        fp_a.obj(ObjectId(7));
         let e = SleepEntry {
             id: TransId::Thread(2),
             thread: 2,
@@ -362,9 +318,9 @@ mod tests {
             penalty: 0,
         };
         let mut same_obj = Footprint::default();
-        same_obj.obj(7);
+        same_obj.obj(ObjectId(7));
         let mut other_obj = Footprint::default();
-        other_obj.obj(8);
+        other_obj.obj(ObjectId(8));
         let mut global = Footprint::default();
         global.mark_global();
         assert!(dependent(&e, 5, &same_obj), "same object");

@@ -1,163 +1,47 @@
-//! The oracle's scheduler state: a time-free mirror of the engine's
-//! semantics (heap state machine, FIFO locks, sticky events, join/task
-//! rules, store buffers) plus the canonical byte encoding that keys the
-//! memo.
+//! The oracle's search node: the shared [`waffle_sim::semantics`] kernel,
+//! driven under a time-free policy, plus the thread the search has
+//! scheduled, the segment runner that advances it to the next decision,
+//! and the canonical byte encoding that keys the memo.
 //!
-//! Every mutating entry point threads a [`Footprint`] accumulator so the
-//! explorer learns, as a by-product of executing an edge, which objects,
-//! locks, and events the edge touched — the raw material for the
-//! independence relation in [`super::reduction`].
+//! The kernel executes every transition and records its
+//! [`Footprint`](waffle_sim::semantics::Footprint) (objects, locks,
+//! events, or global) in its effects, so the explorer
+//! learns, as a by-product of executing an edge, what the edge touched —
+//! the raw material for the independence relation in
+//! [`super::reduction`].
 
-use std::collections::VecDeque;
-
-use waffle_mem::{AccessKind, NullRefKind, ObjectId, RefState};
-use waffle_sim::{Cond, MemoryModel, Op, Workload};
-
-use super::reduction::Footprint;
-use super::Choice;
-
-/// Why a thread is not runnable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Status {
-    /// Runnable (or currently running).
-    Ready,
-    /// Waiting in a lock's FIFO queue.
-    BlockedLock(u32),
-    /// Waiting for a sticky event.
-    BlockedEvent(u32),
-    /// Waiting for the threads in `join_wait` to finish.
-    BlockedJoin,
-    /// Finished.
-    Done,
-}
-
-/// One simulated thread's control state.
-#[derive(Debug)]
-pub(crate) struct OThread {
-    pub(crate) script: u32,
-    pub(crate) pc: u32,
-    /// Saved (script, pc) continuations pushed by `RunTasks` task frames.
-    pub(crate) frames: Vec<(u32, u32)>,
-    pub(crate) status: Status,
-    /// Locks currently held (acquisition order — release order on exit).
-    pub(crate) held: Vec<u32>,
-    /// Direct children, for `JoinChildren`.
-    pub(crate) children: Vec<u32>,
-    /// Outstanding join targets while `BlockedJoin` (kept sorted).
-    pub(crate) join_wait: Vec<u32>,
-    /// Store buffer (push order), always empty under `Sc`: stores this
-    /// thread executed that are not yet globally visible.
-    pub(crate) buffer: Vec<(u32, RefState)>,
-}
-
-impl OThread {
-    fn new(script: u32) -> Self {
-        Self {
-            script,
-            pc: 0,
-            frames: Vec::new(),
-            status: Status::Ready,
-            held: Vec::new(),
-            children: Vec::new(),
-            join_wait: Vec::new(),
-            buffer: Vec::new(),
-        }
-    }
-}
-
-// Hand-written so `clone_from` reuses each field's existing allocation
-// (the derive would fall back to `*self = source.clone()`), keeping the
-// explorer's clone-on-branch path allocation-free once vectors have
-// grown to their working size.
-impl Clone for OThread {
-    fn clone(&self) -> Self {
-        Self {
-            script: self.script,
-            pc: self.pc,
-            frames: self.frames.clone(),
-            status: self.status.clone(),
-            held: self.held.clone(),
-            children: self.children.clone(),
-            join_wait: self.join_wait.clone(),
-            buffer: self.buffer.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, src: &Self) {
-        self.script = src.script;
-        self.pc = src.pc;
-        self.frames.clone_from(&src.frames);
-        self.status = src.status.clone();
-        self.held.clone_from(&src.held);
-        self.children.clone_from(&src.children);
-        self.join_wait.clone_from(&src.join_wait);
-        self.buffer.clone_from(&src.buffer);
-    }
-}
-
-/// Ops that drain the executing thread's store buffer before running,
-/// mirroring the engine's forced flush points. Signal/wait are deliberately
-/// absent: event edges order *instructions*, not store visibility — that
-/// gap is the TSO bug class.
-pub(crate) fn is_flush_point(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::Fork { .. }
-            | Op::JoinScript { .. }
-            | Op::JoinChildren
-            | Op::Acquire { .. }
-            | Op::Release { .. }
-            | Op::Fence
-    )
-}
+use waffle_sim::semantics::{Effects, Kernel, Status};
+use waffle_sim::{BlockedBy, MemoryModel, ThreadId, Workload};
 
 /// A complete scheduler state: the DFS node.
 #[derive(Debug)]
 pub(crate) struct OState {
-    pub(crate) threads: Vec<OThread>,
-    pub(crate) lock_holder: Vec<Option<u32>>,
-    pub(crate) lock_waiters: Vec<VecDeque<u32>>,
-    pub(crate) ev_signaled: Vec<bool>,
-    /// Heap mirror; same transition table as `waffle_mem::Heap`.
-    pub(crate) heap: Vec<RefState>,
-    /// Global FIFO task queue of `SpawnTask` scripts.
-    pub(crate) tasks: VecDeque<u32>,
+    /// Everything the schedule has executed so far.
+    pub(crate) k: Kernel,
     /// Thread currently scheduled, parked at an `Op::Access` (or, under a
     /// weak model, a flush-point op with a non-empty buffer); `None` when
     /// the previous thread blocked or exited and the choice is free.
     pub(crate) running: Option<u32>,
-    /// Memory model being explored (constant per run; not encoded).
-    pub(crate) model: MemoryModel,
 }
 
+// Hand-written so `clone_from` reuses the kernel's allocations: the
+// explorer clones a node per branch.
 impl Clone for OState {
     fn clone(&self) -> Self {
         Self {
-            threads: self.threads.clone(),
-            lock_holder: self.lock_holder.clone(),
-            lock_waiters: self.lock_waiters.clone(),
-            ev_signaled: self.ev_signaled.clone(),
-            heap: self.heap.clone(),
-            tasks: self.tasks.clone(),
+            k: self.k.clone(),
             running: self.running,
-            model: self.model,
         }
     }
 
     fn clone_from(&mut self, src: &Self) {
-        self.threads.clone_from(&src.threads);
-        self.lock_holder.clone_from(&src.lock_holder);
-        self.lock_waiters.clone_from(&src.lock_waiters);
-        self.ev_signaled.clone_from(&src.ev_signaled);
-        self.heap.clone_from(&src.heap);
-        self.tasks.clone_from(&src.tasks);
+        self.k.clone_from(&src.k);
         self.running = src.running;
-        self.model = src.model;
     }
 }
 
 /// What stopped a run segment.
-pub(crate) enum SegStop {
+enum SegStop {
     /// The running thread is parked immediately before an `Op::Access`.
     AtAccess,
     /// Weak model only: the running thread is parked immediately before a
@@ -181,351 +65,47 @@ pub(crate) struct EncodeScratch {
 impl OState {
     pub(crate) fn new(w: &Workload, model: MemoryModel) -> Self {
         Self {
-            threads: vec![OThread::new(w.main.0)],
-            lock_holder: vec![None; w.n_locks as usize],
-            lock_waiters: vec![VecDeque::new(); w.n_locks as usize],
-            ev_signaled: vec![false; w.n_events as usize],
-            heap: vec![RefState::Null; w.n_objects as usize],
-            tasks: VecDeque::new(),
+            k: Kernel::new(w, model),
             running: Some(0),
-            model,
         }
-    }
-
-    /// The state thread `t` observes for `obj`: its own newest buffered
-    /// store if any, else shared memory.
-    pub(crate) fn view_of(&self, t: usize, obj: u32) -> RefState {
-        self.threads[t]
-            .buffer
-            .iter()
-            .rev()
-            .find(|e| e.0 == obj)
-            .map(|e| e.1)
-            .unwrap_or(self.heap[obj as usize])
-    }
-
-    /// Performs thread `t`'s store: buffered under a weak model, globally
-    /// visible immediately under `Sc`.
-    fn store(&mut self, t: usize, obj: u32, to: RefState) {
-        if self.model.is_weak() {
-            self.threads[t].buffer.push((obj, to));
-        } else {
-            self.heap[obj as usize] = to;
-        }
-    }
-
-    /// Commits thread `t`'s entire buffer in push order (flush point).
-    fn flush(&mut self, t: usize, fp: &mut Footprint) {
-        // Take-and-restore keeps the buffer's allocation alive for reuse.
-        let mut buf = std::mem::take(&mut self.threads[t].buffer);
-        for &(obj, to) in &buf {
-            self.heap[obj as usize] = to;
-            fp.obj(obj);
-        }
-        buf.clear();
-        self.threads[t].buffer = buf;
-    }
-
-    /// Appends the drain choices of thread `t` that may commit next under
-    /// the model's ordering constraint — TSO commits in total push order
-    /// (head only), PSO in per-object push order (the oldest entry of
-    /// each object) — in ascending buffer-index order.
-    pub(crate) fn push_committable(&self, t: usize, out: &mut Vec<Choice>) {
-        let buf = &self.threads[t].buffer;
-        match self.model {
-            MemoryModel::Sc => {}
-            MemoryModel::Tso => {
-                if let Some(&(obj, _)) = buf.first() {
-                    out.push(Choice::Drain {
-                        thread: t as u32,
-                        idx: 0,
-                        obj,
-                    });
-                }
-            }
-            MemoryModel::Pso => {
-                for (i, &(obj, _)) in buf.iter().enumerate() {
-                    if buf[..i].iter().all(|p| p.0 != obj) {
-                        out.push(Choice::Drain {
-                            thread: t as u32,
-                            idx: i as u32,
-                            obj,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    /// Drains one committable buffer entry (a nondeterministic drain-point
-    /// schedule choice). Returns the committed object, or `None` if the
-    /// index is out of range (malformed replay input).
-    pub(crate) fn commit_one(&mut self, t: usize, i: usize) -> Option<u32> {
-        if t >= self.threads.len() || i >= self.threads[t].buffer.len() {
-            return None;
-        }
-        let (obj, to) = self.threads[t].buffer.remove(i);
-        self.heap[obj as usize] = to;
-        Some(obj)
-    }
-
-    pub(crate) fn op_at<'w>(&self, w: &'w Workload, t: usize) -> Option<&'w Op> {
-        let th = &self.threads[t];
-        w.scripts[th.script as usize].ops.get(th.pc as usize)
     }
 
     /// Whether thread `t` is parked immediately before an `Op::Access`.
-    pub(crate) fn at_access(&self, w: &Workload, t: usize) -> bool {
-        matches!(self.op_at(w, t), Some(&Op::Access { .. }))
+    pub(crate) fn at_access(&self, w: &Workload, t: u32) -> bool {
+        self.k.at_access(w, ThreadId(t))
     }
 
-    /// Mirrors the engine's lock release: FIFO handoff to the next waiter;
-    /// releasing a lock the thread does not hold is a no-op.
-    fn release_lock(&mut self, t: usize, lock: u32, fp: &mut Footprint) {
-        if self.lock_holder[lock as usize] != Some(t as u32) {
-            return;
-        }
-        fp.lock(lock);
-        self.threads[t].held.retain(|&l| l != lock);
-        match self.lock_waiters[lock as usize].pop_front() {
-            Some(next) => {
-                self.lock_holder[lock as usize] = Some(next);
-                let th = &mut self.threads[next as usize];
-                th.held.push(lock);
-                th.status = Status::Ready;
-                th.pc += 1;
-            }
-            None => self.lock_holder[lock as usize] = None,
-        }
-    }
-
-    /// Mirrors the engine's thread exit: release held locks, wake joiners.
-    fn exit_thread(&mut self, t: usize, fp: &mut Footprint) {
-        // Exits change the thread table other transitions match against
-        // (JoinScript targets, ready sets): dependent with everything.
-        fp.mark_global();
-        if self.model.is_weak() {
-            // Exit is a full barrier (the engine flushes on context loss).
-            self.flush(t, fp);
-        }
-        self.threads[t].status = Status::Done;
-        let held = std::mem::take(&mut self.threads[t].held);
-        for lock in held {
-            // `exit_thread` bypasses the holder check: the dying thread
-            // holds every lock in its `held` list by construction.
-            self.lock_holder[lock as usize] = Some(t as u32);
-            self.release_lock(t, lock, fp);
-        }
-        for u in 0..self.threads.len() {
-            if self.threads[u].status != Status::BlockedJoin {
-                continue;
-            }
-            self.threads[u].join_wait.retain(|&x| x != t as u32);
-            if self.threads[u].join_wait.is_empty() {
-                self.threads[u].status = Status::Ready;
-                self.threads[u].pc += 1;
-            }
-        }
-    }
-
-    fn block_on_join(&mut self, t: usize, mut targets: Vec<u32>) {
-        if targets.is_empty() {
-            self.threads[t].pc += 1;
-        } else {
-            targets.sort_unstable();
-            targets.dedup();
-            self.threads[t].join_wait = targets;
-            self.threads[t].status = Status::BlockedJoin;
-        }
-    }
-
-    /// Executes one non-access op for thread `t`, recording the op's
-    /// footprint. Blocking and exits are expressed through the thread's
-    /// status; the caller's segment loop notices.
-    pub(crate) fn exec_simple(&mut self, t: usize, op: &Op, fp: &mut Footprint) {
-        if self.model.is_weak() && is_flush_point(op) {
-            self.flush(t, fp);
-        }
-        match *op {
-            Op::Compute { .. } | Op::Pad { .. } => self.threads[t].pc += 1,
-            Op::Access { .. } => unreachable!("accesses execute via exec_access"),
-            Op::Fork { script } => {
-                fp.mark_global();
-                let child = self.threads.len() as u32;
-                self.threads.push(OThread::new(script.0));
-                self.threads[t].children.push(child);
-                self.threads[t].pc += 1;
-            }
-            Op::JoinScript { script } => {
-                fp.mark_global();
-                // The engine compares each thread's *current* script field,
-                // so pool workers mid-task are matched by the task script.
-                let targets: Vec<u32> = self
-                    .threads
-                    .iter()
-                    .enumerate()
-                    .filter(|&(u, th)| {
-                        u != t && th.script == script.0 && th.status != Status::Done
-                    })
-                    .map(|(u, _)| u as u32)
-                    .collect();
-                self.block_on_join(t, targets);
-            }
-            Op::JoinChildren => {
-                fp.mark_global();
-                let targets: Vec<u32> = self.threads[t]
-                    .children
-                    .iter()
-                    .copied()
-                    .filter(|&c| self.threads[c as usize].status != Status::Done)
-                    .collect();
-                self.block_on_join(t, targets);
-            }
-            Op::Acquire { lock } => {
-                fp.lock(lock.0);
-                if self.lock_holder[lock.0 as usize].is_none() {
-                    self.lock_holder[lock.0 as usize] = Some(t as u32);
-                    self.threads[t].held.push(lock.0);
-                    self.threads[t].pc += 1;
-                } else {
-                    self.lock_waiters[lock.0 as usize].push_back(t as u32);
-                    self.threads[t].status = Status::BlockedLock(lock.0);
-                }
-            }
-            Op::Release { lock } => {
-                fp.lock(lock.0);
-                self.release_lock(t, lock.0, fp);
-                self.threads[t].pc += 1;
-            }
-            Op::SignalEvent { ev } => {
-                fp.event(ev.0);
-                self.ev_signaled[ev.0 as usize] = true;
-                for u in 0..self.threads.len() {
-                    if self.threads[u].status == Status::BlockedEvent(ev.0) {
-                        self.threads[u].status = Status::Ready;
-                        self.threads[u].pc += 1;
-                    }
-                }
-                self.threads[t].pc += 1;
-            }
-            Op::WaitEvent { ev } => {
-                fp.event(ev.0);
-                if self.ev_signaled[ev.0 as usize] {
-                    self.threads[t].pc += 1;
-                } else {
-                    self.threads[t].status = Status::BlockedEvent(ev.0);
-                }
-            }
-            Op::Throw { .. } | Op::Exit => self.exit_thread(t, fp),
-            Op::Fence => self.threads[t].pc += 1, // drain happened above
-            Op::SkipIf { obj, cond, skip } => {
-                fp.obj(obj.0);
-                let s = self.view_of(t, obj.0);
-                let holds = match cond {
-                    Cond::IsLive => s == RefState::Live,
-                    Cond::IsNull => s == RefState::Null,
-                    Cond::IsDisposed => s == RefState::Disposed,
-                };
-                self.threads[t].pc += 1 + if holds { skip } else { 0 };
-            }
-            Op::SpawnTask { script } => {
-                // The task queue is shared mutable state every RunTasks
-                // observes: order matters, so spawns are global.
-                fp.mark_global();
-                self.tasks.push_back(script.0);
-                self.threads[t].pc += 1;
-            }
-            Op::RunTasks => {
-                fp.mark_global();
-                match self.tasks.pop_front() {
-                    Some(task) => {
-                        let th = &mut self.threads[t];
-                        // Save the continuation *at* RunTasks so the worker
-                        // loops back to drain the next task.
-                        th.frames.push((th.script, th.pc));
-                        th.script = task;
-                        th.pc = 0;
-                    }
-                    None => self.threads[t].pc += 1,
-                }
-            }
-        }
-    }
-
-    /// Commits the `Op::Access` thread `t` is parked at, applying the
-    /// heap's transition table. `Err` is a NULL-reference manifestation.
-    pub(crate) fn exec_access(
-        &mut self,
-        w: &Workload,
-        t: usize,
-        fp: &mut Footprint,
-    ) -> Result<(), (NullRefKind, ObjectId)> {
-        let Some(&Op::Access { obj, kind, .. }) = self.op_at(w, t) else {
-            unreachable!("exec_access precondition: thread parked at an access");
-        };
-        fp.obj(obj.0);
-        // Loads classify against the thread's *view* (own buffer first);
-        // stores go through `store`, which buffers them under a weak model.
-        let view = self.view_of(t, obj.0);
-        match kind {
-            AccessKind::Init => self.store(t, obj.0, RefState::Live),
-            AccessKind::Use | AccessKind::UnsafeApiCall => match view {
-                RefState::Live => {}
-                RefState::Null => return Err((NullRefKind::UseBeforeInit, obj)),
-                RefState::Disposed => return Err((NullRefKind::UseAfterFree, obj)),
-            },
-            AccessKind::Dispose => match view {
-                RefState::Live => self.store(t, obj.0, RefState::Disposed),
-                RefState::Null | RefState::Disposed => {
-                    return Err((NullRefKind::DisposeOnNull, obj))
-                }
-            },
-        }
-        self.threads[t].pc += 1;
-        Ok(())
+    /// Whether thread `t` can be scheduled.
+    pub(crate) fn ready(&self, t: u32) -> bool {
+        self.k.is_ready(ThreadId(t))
     }
 
     /// Runs the scheduled thread until it parks at an access, blocks, or
-    /// exits, accumulating the segment's footprint. Never commits accesses.
-    fn run_segment(&mut self, w: &Workload, fp: &mut Footprint) -> SegStop {
-        let t = self.running.expect("run_segment needs a scheduled thread") as usize;
+    /// exits, accumulating the segment's footprint in `fx`. Never commits
+    /// accesses.
+    fn run_segment(&mut self, w: &Workload, fx: &mut Effects) -> SegStop {
+        let t = ThreadId(self.running.expect("run_segment needs a scheduled thread"));
         loop {
-            if self.threads[t].status != Status::Ready {
+            if !self.k.is_ready(t) {
                 return SegStop::Yield;
             }
-            match self.op_at(w, t) {
-                None => {
-                    // Script end: return from a task frame or exit.
-                    if let Some((script, pc)) = self.threads[t].frames.pop() {
-                        self.threads[t].script = script;
-                        self.threads[t].pc = pc;
-                    } else {
-                        self.exit_thread(t, fp);
-                        return SegStop::Yield;
-                    }
-                }
-                Some(&Op::Access { .. }) => return SegStop::AtAccess,
-                Some(op) => {
-                    if self.model.is_weak()
-                        && !self.threads[t].buffer.is_empty()
-                        && is_flush_point(op)
-                    {
-                        // The flush would close this thread's stale window;
-                        // park here so the scheduler can route readers in
-                        // first. Never fires under `Sc` (buffers stay empty).
-                        return SegStop::AtFlush;
-                    }
-                    let op = op.clone();
-                    self.exec_simple(t, &op, fp);
-                }
+            if self.k.at_access(w, t) {
+                return SegStop::AtAccess;
             }
+            if self.k.flush_pending(w, t) {
+                // The flush would close this thread's stale window; park
+                // here so the scheduler can route readers in first. Never
+                // fires under `Sc` (buffers stay empty).
+                return SegStop::AtFlush;
+            }
+            self.k.step(w, t, fx);
         }
     }
 
     /// Advances past [`Self::run_segment`], normalizing `running` to
     /// `None` on a yield so the node invariant holds.
-    pub(crate) fn advance_to_decision(&mut self, w: &Workload, fp: &mut Footprint) {
-        match self.run_segment(w, fp) {
+    pub(crate) fn advance_to_decision(&mut self, w: &Workload, fx: &mut Effects) {
+        match self.run_segment(w, fx) {
             SegStop::AtAccess | SegStop::AtFlush => {}
             SegStop::Yield => self.running = None,
         }
@@ -536,62 +116,61 @@ impl OState {
     /// choice switches for nothing.
     pub(crate) fn switch_cost(&self, w: &Workload) -> u32 {
         match self.running {
-            Some(t) if self.at_access(w, t as usize) => 1,
+            Some(t) if self.at_access(w, t) => 1,
             _ => 0,
         }
     }
 
     /// Canonical byte encoding of the state into `scratch.buf` — the
     /// pre-image of the memo fingerprint. Allocation-free once the
-    /// scratch buffers reach their working size.
+    /// scratch buffers reach their working size. Kernel bookkeeping the
+    /// schedule cannot observe (event and join waiter lists, task ids)
+    /// is derivable from what is encoded and stays out of the key.
     pub(crate) fn encode_into(&self, scratch: &mut EncodeScratch) {
         fn push(buf: &mut Vec<u8>, v: u32) {
             debug_assert!(v < u16::MAX as u32, "oracle id overflow");
             buf.extend_from_slice(&(v as u16).to_le_bytes());
         }
         let EncodeScratch { buf, held } = scratch;
+        let k = &self.k;
         buf.clear();
         push(buf, self.running.map_or(0, |t| t + 1));
-        for &h in &self.heap {
-            buf.push(h as u8);
+        buf.extend(k.heap().cells().iter().map(|&h| h as u8));
+        buf.extend(k.signaled().map(|s| s as u8));
+        push(buf, k.queued_tasks().len() as u32);
+        for s in k.queued_tasks() {
+            push(buf, s.0);
         }
-        for &s in &self.ev_signaled {
-            buf.push(s as u8);
-        }
-        push(buf, self.tasks.len() as u32);
-        for &s in &self.tasks {
-            push(buf, s);
-        }
-        for (holder, waiters) in self.lock_holder.iter().zip(&self.lock_waiters) {
-            push(buf, holder.map_or(0, |t| t + 1));
+        for (holder, waiters) in k.locks() {
+            push(buf, holder.map_or(0, |t| t.0 + 1));
             push(buf, waiters.len() as u32);
             for &t in waiters {
-                push(buf, t);
+                push(buf, t.0);
             }
         }
-        push(buf, self.threads.len() as u32);
-        for th in &self.threads {
-            push(buf, th.script);
+        push(buf, k.threads().len() as u32);
+        for (i, th) in k.threads().iter().enumerate() {
+            push(buf, th.script.0);
             push(buf, th.pc);
             let (tag, arg) = match th.status {
                 Status::Ready => (0u8, 0),
-                Status::BlockedLock(l) => (1, l),
-                Status::BlockedEvent(e) => (2, e),
-                Status::BlockedJoin => (3, 0),
+                Status::Blocked(BlockedBy::Lock(l)) => (1, l.0),
+                Status::Blocked(BlockedBy::Event(e)) => (2, e.0),
+                Status::Blocked(BlockedBy::Join) => (3, 0),
                 Status::Done => (4, 0),
             };
             buf.push(tag);
             push(buf, arg);
             push(buf, th.frames.len() as u32);
             for &(s, p) in &th.frames {
-                push(buf, s);
+                push(buf, s.0);
                 push(buf, p);
             }
             // `held` stays in acquisition order in the thread (exit
             // releases in that order — semantics), so normalize into the
             // reused sort scratch rather than cloning per state.
             held.clear();
-            held.extend_from_slice(&th.held);
+            held.extend(th.held.iter().map(|l| l.0));
             held.sort_unstable();
             push(buf, held.len() as u32);
             for &l in held.iter() {
@@ -599,20 +178,21 @@ impl OState {
             }
             push(buf, th.children.len() as u32);
             for &c in &th.children {
-                push(buf, c);
+                push(buf, c.0);
             }
-            push(buf, th.join_wait.len() as u32);
-            for &j in &th.join_wait {
-                push(buf, j);
+            let outstanding = k.join_outstanding(ThreadId(i as u32));
+            push(buf, outstanding.clone().count() as u32);
+            for j in outstanding {
+                push(buf, j.0);
             }
-            if self.model.is_weak() {
+            if k.model().is_weak() {
                 // Buffered stores are scheduler-visible state. Encoded only
                 // under a weak model so `Sc` keys stay byte-identical to
                 // the pre-weak-memory explorer.
                 push(buf, th.buffer.len() as u32);
-                for &(obj, st) in &th.buffer {
-                    push(buf, obj);
-                    buf.push(st as u8);
+                for e in &th.buffer {
+                    push(buf, e.obj.0);
+                    buf.push(e.to as u8);
                 }
             }
         }

@@ -42,10 +42,27 @@ pub struct HeapStats {
 /// The heap is time- and thread-agnostic: it owns only the reference state
 /// machine. The simulator drives it and attaches timing context to the
 /// outcomes.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Heap {
     cells: Vec<RefState>,
     stats: HeapStats,
+}
+
+// Hand-written so `clone_from` reuses the cell vector (the derive would
+// fall back to `*self = source.clone()`): schedule exploration clones a
+// heap per branch and must not allocate doing it.
+impl Clone for Heap {
+    fn clone(&self) -> Self {
+        Self {
+            cells: self.cells.clone(),
+            stats: self.stats,
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.cells.clone_from(&src.cells);
+        self.stats = src.stats;
+    }
 }
 
 impl Heap {
@@ -75,6 +92,11 @@ impl Heap {
     /// so an unknown id is a workload construction bug.
     pub fn state(&self, obj: ObjectId) -> RefState {
         self.cells[obj.0 as usize]
+    }
+
+    /// Every cell's state, by object id.
+    pub fn cells(&self) -> &[RefState] {
+        &self.cells
     }
 
     /// Accumulated statistics.

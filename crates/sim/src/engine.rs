@@ -1,22 +1,27 @@
-//! The discrete-event simulation engine.
+//! The discrete-event simulation engine: the virtual-time runner of the
+//! [`semantics`](crate::semantics) kernel.
+//!
+//! The kernel decides what each operation does; the engine decides when.
+//! It owns the event queue, the virtual clock, timing noise, per-store
+//! drain times, monitor calls, injected delays, TSV windows and the
+//! [`RunResult`].
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use waffle_mem::{AccessKind, AccessOutcome, Heap, ObjectId, RefState, SiteId};
+use waffle_mem::{AccessKind, ObjectId, SiteId};
 
-use crate::ids::{LockId, ScriptId, ThreadId};
+use crate::ids::ThreadId;
 use crate::memory::{DrainPolicy, MemoryConfig, MemoryModel};
 use crate::monitor::{AccessCtx, AccessRecord, ActiveDelay, Monitor, PreAction};
-use crate::op::{Cond, Op};
+use crate::op::Op;
 use crate::result::{
     AppException, BlockedBy, BlockedInterval, DelayRecord, ForkEdge, RecentOp, RunResult,
-    SimException, ThreadContext,
+    SimException, ThreadContext, TsvViolation,
 };
-use crate::result::TsvViolation;
-use crate::tasks::{TaskId, TaskParent};
+use crate::semantics::{BufferedStore, Effects, Kernel, Status, Step};
 use crate::time::SimTime;
 use crate::workload::Workload;
 
@@ -74,13 +79,6 @@ impl SimConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    Ready,
-    Blocked(BlockedBy, SimTime),
-    Done,
-}
-
 #[derive(Debug, Clone)]
 struct PendingAccess {
     obj: ObjectId,
@@ -91,22 +89,16 @@ struct PendingAccess {
     delayed_by: SimTime,
 }
 
+/// The engine's side of one thread; its control state lives in the kernel.
 #[derive(Debug)]
-struct ThreadState {
-    script: ScriptId,
-    pc: usize,
-    now: SimTime,
+struct ThreadTiming {
+    /// Generation of the thread's live queue event; older events are stale.
     gen: u64,
-    status: Status,
-    children: Vec<ThreadId>,
-    held: Vec<LockId>,
+    /// When the thread last blocked.
+    blocked_since: SimTime,
+    /// An access whose injected delay is running.
     pending: Option<PendingAccess>,
     last_block: Option<BlockedInterval>,
-    /// Saved (script, pc) frames: a pool worker pushes its own frame here
-    /// while it runs a task inline.
-    frames: Vec<(ScriptId, usize)>,
-    /// The task whose code this thread is currently executing, if any.
-    current_task: Option<TaskId>,
     /// Ring buffer of the last instrumented accesses (bug-report context).
     recent: VecDeque<RecentOp>,
 }
@@ -129,16 +121,21 @@ fn checked_site_id(index: usize) -> SiteId {
     SiteId::try_new(index).expect("site counter index validated at registration")
 }
 
-#[derive(Debug, Default)]
-struct LockState {
-    holder: Option<ThreadId>,
-    waiters: VecDeque<ThreadId>,
-}
-
-#[derive(Debug, Default)]
-struct EventState {
-    signaled: bool,
-    waiters: Vec<ThreadId>,
+/// Applies seeded timing noise of `pct` percent to a nominal duration.
+///
+/// The result never rounds a nonzero duration down to zero: a 1µs
+/// compute at 3% noise used to floor to 0µs on factors below 100,
+/// collapsing distinct schedule points onto one timestamp and turning
+/// exact end-time assertions into a seed lottery. Real hardware jitter
+/// shortens an operation; it does not make it free.
+fn noised(rng: &mut SmallRng, pct: u32, dur: SimTime) -> SimTime {
+    let pct = pct.min(50);
+    if pct == 0 || dur == SimTime::ZERO {
+        return dur;
+    }
+    let span = 2 * pct as u64;
+    let factor = 100 - pct as u64 + rng.gen_range(0..=span);
+    SimTime::from_us((dur.as_us().saturating_mul(factor) / 100).max(1))
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -149,13 +146,15 @@ struct TsvWindow {
     site: SiteId,
 }
 
-/// A store sitting in a thread's store buffer: validated and counted when
-/// it executed, globally visible only once it drains (`Heap::commit`).
+/// One kernel call the engine made, recorded in test builds so a
+/// conformance test can replay the run on a time-free kernel.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy)]
-struct BufferedStore {
-    obj: ObjectId,
-    to: RefState,
-    drain_at: SimTime,
+enum Transition {
+    Step(ThreadId),
+    Access(ThreadId),
+    Commit(ThreadId, usize),
+    DrainAll,
 }
 
 /// The simulator: executes one [`Workload`] under one [`Monitor`].
@@ -163,34 +162,23 @@ pub struct Simulator<'w> {
     workload: &'w Workload,
     config: SimConfig,
     rng: SmallRng,
-    heap: Heap,
-    threads: Vec<ThreadState>,
-    locks: Vec<LockState>,
-    events: Vec<EventState>,
+    /// The execution state; buffered stores carry their drain time.
+    kernel: Kernel<SimTime>,
+    /// Reused effects record of the last kernel call.
+    fx: Effects,
+    threads: Vec<ThreadTiming>,
     queue: BinaryHeap<Reverse<(SimTime, u64, ThreadId, u64)>>,
     seq: u64,
-    join_waiting: HashMap<ThreadId, HashSet<ThreadId>>,
-    join_targets: HashMap<ThreadId, Vec<ThreadId>>,
-    task_queue: VecDeque<(TaskId, ScriptId)>,
-    tasks_spawned: u32,
     active_delays: Vec<ActiveDelay>,
     tsv_windows: HashMap<ObjectId, Vec<TsvWindow>>,
     /// Dense per-site dynamic-access counters, indexed by `SiteId`. The
     /// dispatch loop bumps these with a plain array index; they fold into
     /// the public `RunResult::site_dyn_counts` map once, at run end.
     site_dyn_counts: Vec<u64>,
-    /// Reused buffer for joiners woken by an exiting thread, so thread
-    /// churn does not allocate per exit.
-    waiter_scratch: Vec<ThreadId>,
-    /// Per-thread store buffers (parallel to `threads`); always empty
-    /// under `Sc`, where `buffering` is false and none of the buffer
-    /// machinery runs.
-    store_buffers: Vec<Vec<BufferedStore>>,
-    /// Cached `config.memory.buffered()` — keeps the SC hot path free of
-    /// any store-buffer bookkeeping.
-    buffering: bool,
     result: RunResult,
     max_time: SimTime,
+    #[cfg(test)]
+    log: Vec<Transition>,
 }
 
 impl<'w> Simulator<'w> {
@@ -202,31 +190,22 @@ impl<'w> Simulator<'w> {
         // bounds — but they absorb the growth reallocations of the
         // common case.
         let thread_hint = workload.scripts.len().max(8);
-        let buffering = config.memory.buffered();
         Self {
             workload,
             rng: SmallRng::seed_from_u64(config.seed),
+            kernel: Kernel::new(workload, config.memory.model),
+            fx: Effects::default(),
             config,
-            heap: Heap::new(workload.n_objects as usize),
             threads: Vec::with_capacity(thread_hint),
-            locks: (0..workload.n_locks).map(|_| LockState::default()).collect(),
-            events: (0..workload.n_events)
-                .map(|_| EventState::default())
-                .collect(),
             queue: BinaryHeap::with_capacity(thread_hint * 4),
             seq: 0,
-            join_waiting: HashMap::new(),
-            join_targets: HashMap::new(),
-            task_queue: VecDeque::new(),
-            tasks_spawned: 0,
             active_delays: Vec::new(),
             tsv_windows: HashMap::new(),
             site_dyn_counts: vec![0; workload.sites.len()],
-            waiter_scratch: Vec::new(),
-            store_buffers: Vec::with_capacity(if buffering { thread_hint } else { 0 }),
-            buffering,
             result: RunResult::default(),
             max_time: SimTime::ZERO,
+            #[cfg(test)]
+            log: Vec::new(),
         }
     }
 
@@ -238,8 +217,12 @@ impl<'w> Simulator<'w> {
 
     /// Executes the workload to completion and returns the run result.
     pub fn execute(mut self, monitor: &mut dyn Monitor) -> RunResult {
-        let root = self.spawn_thread(self.workload.main, None, SimTime::ZERO);
-        debug_assert_eq!(root, ThreadId(0));
+        self.run_queue(monitor);
+        self.finish_run(monitor)
+    }
+
+    fn run_queue(&mut self, monitor: &mut dyn Monitor) {
+        self.spawn_timing(ThreadId(0), SimTime::ZERO);
         while let Some(Reverse((t, gen, tid, _))) = self.queue.pop() {
             if let Some(deadline) = self.config.deadline {
                 if t > deadline {
@@ -248,30 +231,28 @@ impl<'w> Simulator<'w> {
                     break;
                 }
             }
-            let th = &self.threads[tid.0 as usize];
-            if th.gen != gen || th.status != Status::Ready {
+            if self.threads[tid.0 as usize].gen != gen {
                 continue; // Stale event.
             }
+            // Only a ready thread has a live event: blocking and exiting
+            // schedule nothing, and every wake-up bumps the generation.
+            debug_assert!(self.kernel.is_ready(tid));
             self.step(tid, t, monitor);
         }
-        self.finish_run(monitor)
     }
 
-    fn finish_run(mut self, monitor: &mut dyn Monitor) -> RunResult {
+    fn finish_run(&mut self, monitor: &mut dyn Monitor) -> RunResult {
         // Any store still buffered when the run ends drains now: its write
         // already executed, there are no more readers to observe an order,
         // and heap stats must reflect every committed store.
-        if self.buffering {
-            for buf in &mut self.store_buffers {
-                for e in buf.drain(..) {
-                    self.heap.commit(e.obj, e.to);
-                }
-            }
-        }
+        #[cfg(test)]
+        self.log.push(Transition::DrainAll);
+        self.kernel.drain_all();
         // Threads still blocked when the queue drains are stranded (e.g.
         // their signaller died from an exception).
-        for (i, th) in self.threads.iter_mut().enumerate() {
-            if let Status::Blocked(by, since) = th.status {
+        for (i, (th, k)) in self.threads.iter().zip(self.kernel.threads()).enumerate() {
+            if let Status::Blocked(by) = k.status {
+                let since = th.blocked_since;
                 self.result.blocked.push(BlockedInterval {
                     thread: checked_thread_id(i),
                     start: since,
@@ -282,7 +263,7 @@ impl<'w> Simulator<'w> {
             }
         }
         self.result.end_time = self.max_time;
-        self.result.heap = self.heap.stats();
+        self.result.heap = self.kernel.heap().stats();
         self.result.threads_spawned = u32::try_from(self.threads.len())
             .expect("thread count outgrew u32 (checked at spawn, so unreachable)");
         // Fold the dense counters into the public map (accessed sites only,
@@ -307,56 +288,21 @@ impl<'w> Simulator<'w> {
         self.queue.push(Reverse((at, gen, tid, self.seq)));
     }
 
-    fn spawn_thread(
-        &mut self,
-        script: ScriptId,
-        parent: Option<ThreadId>,
-        at: SimTime,
-    ) -> ThreadId {
-        // Checked conversion: a churn workload that forks past u32::MAX
-        // threads used to wrap silently and alias ThreadId(0); the typed
-        // `IdOverflow` makes it a diagnosable construction-scale failure.
-        let tid = ThreadId::try_new(self.threads.len())
-            .unwrap_or_else(|e| panic!("{e}: workload forks more threads than the engine can identify"));
-        if self.buffering {
-            self.store_buffers.push(Vec::new());
-        }
-        self.threads.push(ThreadState {
-            script,
-            pc: 0,
-            now: at,
+    /// Adds the timing side of a thread the kernel just created.
+    fn spawn_timing(&mut self, tid: ThreadId, at: SimTime) {
+        debug_assert_eq!(tid.0 as usize, self.threads.len());
+        self.threads.push(ThreadTiming {
             gen: 0,
-            status: Status::Ready,
-            children: Vec::new(),
-            held: Vec::new(),
+            blocked_since: SimTime::ZERO,
             pending: None,
             last_block: None,
-            frames: Vec::new(),
-            current_task: None,
             recent: VecDeque::with_capacity(RECENT_DEPTH),
         });
-        if let Some(p) = parent {
-            self.threads[p.0 as usize].children.push(tid);
-        }
         self.schedule(tid, at);
-        tid
     }
 
-    /// Applies seeded timing noise to a nominal duration.
-    ///
-    /// The result never rounds a nonzero duration down to zero: a 1µs
-    /// compute at 3% noise used to floor to 0µs on factors below 100,
-    /// collapsing distinct schedule points onto one timestamp and turning
-    /// exact end-time assertions into a seed lottery. Real hardware jitter
-    /// shortens an operation; it does not make it free.
     fn noised(&mut self, dur: SimTime) -> SimTime {
-        let pct = self.config.timing_noise_pct.min(50);
-        if pct == 0 || dur == SimTime::ZERO {
-            return dur;
-        }
-        let span = 2 * pct as u64;
-        let factor = 100 - pct as u64 + self.rng.gen_range(0..=span);
-        SimTime::from_us((dur.as_us().saturating_mul(factor) / 100).max(1))
+        noised(&mut self.rng, self.config.timing_noise_pct, dur)
     }
 
     fn prune_active_delays(&mut self, now: SimTime) {
@@ -369,7 +315,7 @@ impl<'w> Simulator<'w> {
         // threads, since this thread may be about to read shared memory.
         // Queue pops are globally time-ordered, so draining up to `t` here
         // never commits a store "early" relative to any observer.
-        if self.buffering {
+        if self.kernel.buffered() > 0 {
             self.drain_due(t);
         }
         // A pending access means the injected delay elapsed; perform it.
@@ -377,371 +323,135 @@ impl<'w> Simulator<'w> {
             self.perform_access(tid, t, pending, monitor);
             return;
         }
-        let th = &self.threads[tid.0 as usize];
-        let script = self.workload.script(th.script);
-        let Some(op) = script.ops.get(th.pc).cloned() else {
-            // End of the current script: a pool worker returns to its own
-            // frame (completing the task); a plain thread exits.
-            if let Some((script, pc)) = self.threads[tid.0 as usize].frames.pop() {
-                let finished = self.threads[tid.0 as usize]
-                    .current_task
-                    .take()
-                    .expect("a popped frame implies a running task");
-                monitor.on_task_end(finished, tid, t);
-                let th = &mut self.threads[tid.0 as usize];
-                th.script = script;
-                th.pc = pc;
-                th.now = t;
-                self.schedule(tid, t);
-            } else {
-                self.exit_thread(tid, t, monitor);
-            }
+        let op = self.kernel.op_at(self.workload, tid);
+        if op.is_some() {
+            self.result.ops_executed += 1;
+        }
+        if let Some(&Op::Access {
+            obj,
+            kind,
+            site,
+            dur,
+        }) = op
+        {
+            self.begin_access(tid, t, obj, kind, site, dur, monitor);
             return;
-        };
-        self.result.ops_executed += 1;
-        match op {
-            Op::Compute { dur } => {
-                let d = self.noised(dur);
-                self.advance(tid, t + d);
+        }
+        #[cfg(test)]
+        self.log.push(Transition::Step(tid));
+        let step = self.kernel.step(self.workload, tid, &mut self.fx);
+        // Join targets that had already exited are joined at once.
+        for &done in &self.fx.joined {
+            monitor.on_join(tid, done, t);
+        }
+        match step {
+            Step::Advanced => {
+                let at = match op {
+                    Some(&Op::Compute { dur }) => t + self.noised(dur),
+                    Some(&Op::Pad { dur }) => t + dur,
+                    _ => t,
+                };
+                self.wake(t, monitor);
+                self.schedule(tid, at);
             }
-            Op::Pad { dur } => {
-                self.advance(tid, t + dur);
-            }
-            Op::Access {
-                obj,
-                kind,
-                site,
-                dur,
-            } => self.begin_access(tid, t, obj, kind, site, dur, monitor),
-            Op::Fork { script } => {
-                if self.buffering {
-                    self.flush_buffer(tid);
+            Step::Blocked(_) => self.threads[tid.0 as usize].blocked_since = t,
+            Step::Exited => {
+                if let Some(&Op::Throw { site }) = op {
+                    self.result.app_exceptions.push(AppException {
+                        site,
+                        thread: tid,
+                        time: t,
+                    });
                 }
+                self.exited(tid, t, monitor);
+            }
+            Step::Forked(child) => {
                 let start = t + self.config.fork_cost;
-                let child = self.spawn_thread(script, Some(tid), start);
+                self.spawn_timing(child, start);
                 self.result.forks.push(ForkEdge {
                     parent: tid,
                     child,
                     time: t,
                 });
                 monitor.on_fork(tid, child, t);
-                self.advance(tid, start);
+                self.schedule(tid, start);
             }
-            Op::JoinScript { script } => {
-                if self.buffering {
-                    self.flush_buffer(tid);
-                }
-                let all: Vec<ThreadId> = self
-                    .threads
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, th2)| checked_thread_id(*i) != tid && th2.script == script)
-                    .map(|(i, _)| checked_thread_id(i))
-                    .collect();
-                let live: HashSet<ThreadId> = all
-                    .iter()
-                    .copied()
-                    .filter(|c| self.threads[c.0 as usize].status != Status::Done)
-                    .collect();
-                // Already-finished threads are joined instantly.
-                for done in all.iter().filter(|c| !live.contains(c)) {
-                    monitor.on_join(tid, *done, t);
-                }
-                self.begin_join(tid, t, live);
-            }
-            Op::JoinChildren => {
-                if self.buffering {
-                    self.flush_buffer(tid);
-                }
-                let all: Vec<ThreadId> = self.threads[tid.0 as usize].children.clone();
-                let live: HashSet<ThreadId> = all
-                    .iter()
-                    .copied()
-                    .filter(|c| self.threads[c.0 as usize].status != Status::Done)
-                    .collect();
-                for done in all.iter().filter(|c| !live.contains(c)) {
-                    monitor.on_join(tid, *done, t);
-                }
-                self.begin_join(tid, t, live);
-            }
-            Op::Acquire { lock } => {
-                // Lock operations are drain points: real mutexes carry
-                // full barriers. Sticky events deliberately do NOT — an
-                // event publication without a barrier is exactly the
-                // TSO-visible bug shape this subsystem exists to model.
-                if self.buffering {
-                    self.flush_buffer(tid);
-                }
-                let ls = &mut self.locks[lock.0 as usize];
-                match ls.holder {
-                    None => {
-                        ls.holder = Some(tid);
-                        self.threads[tid.0 as usize].held.push(lock);
-                        self.advance(tid, t);
-                    }
-                    Some(_) => {
-                        ls.waiters.push_back(tid);
-                        self.block(tid, t, BlockedBy::Lock(lock));
-                    }
-                }
-            }
-            Op::Release { lock } => {
-                if self.buffering {
-                    self.flush_buffer(tid);
-                }
-                self.release_lock(tid, lock, t);
-                self.advance(tid, t);
-            }
-            Op::SignalEvent { ev } => {
-                let es = &mut self.events[ev.0 as usize];
-                es.signaled = true;
-                let mut waiters = std::mem::take(&mut es.waiters);
-                for w in waiters.drain(..) {
-                    self.unblock(w, t);
-                }
-                // Hand the (now empty) buffer back so repeated wait/signal
-                // cycles on the same event reuse its capacity.
-                self.events[ev.0 as usize].waiters = waiters;
-                self.advance(tid, t);
-            }
-            Op::WaitEvent { ev } => {
-                let es = &mut self.events[ev.0 as usize];
-                if es.signaled {
-                    self.advance(tid, t);
-                } else {
-                    es.waiters.push(tid);
-                    self.block(tid, t, BlockedBy::Event(ev));
-                }
-            }
-            Op::Throw { site } => {
-                self.result.app_exceptions.push(AppException {
-                    site,
-                    thread: tid,
-                    time: t,
-                });
-                self.exit_thread(tid, t, monitor);
-            }
-            Op::SkipIf { obj, cond, skip } => {
-                let state = if self.buffering {
-                    self.view_of(tid, obj)
-                } else {
-                    self.heap.state(obj)
-                };
-                let holds = match cond {
-                    Cond::IsLive => state == waffle_mem::RefState::Live,
-                    Cond::IsNull => state == waffle_mem::RefState::Null,
-                    Cond::IsDisposed => state == waffle_mem::RefState::Disposed,
-                };
-                if holds {
-                    self.threads[tid.0 as usize].pc += skip as usize;
-                }
-                self.advance(tid, t);
-            }
-            Op::SpawnTask { script } => {
-                let task = TaskId(self.tasks_spawned);
-                self.tasks_spawned += 1;
-                self.result.tasks_spawned = self.tasks_spawned;
-                let parent = match self.threads[tid.0 as usize].current_task {
-                    Some(owner) => TaskParent::Task(owner),
-                    None => TaskParent::Thread(tid),
-                };
-                self.task_queue.push_back((task, script));
+            Step::TaskSpawned(task, parent) => {
+                self.result.tasks_spawned = task.0 + 1;
                 monitor.on_task_spawn(parent, task, t);
-                self.advance(tid, t);
+                self.schedule(tid, t);
             }
-            Op::RunTasks => {
-                match self.task_queue.pop_front() {
-                    Some((task, script)) => {
-                        // Run the task inline: save this frame (still
-                        // pointing at `RunTasks`, so the drain loops) and
-                        // switch to the task's script.
-                        let th = &mut self.threads[tid.0 as usize];
-                        th.frames.push((th.script, th.pc));
-                        th.script = script;
-                        th.pc = 0;
-                        th.current_task = Some(task);
-                        th.now = t;
-                        monitor.on_task_start(task, tid, t);
-                        self.schedule(tid, t);
-                    }
-                    None => {
-                        // Queue drained: the pool worker moves on.
-                        self.advance(tid, t);
-                    }
-                }
+            Step::TaskStarted(task) => {
+                monitor.on_task_start(task, tid, t);
+                self.schedule(tid, t);
             }
-            Op::Exit => {
-                self.exit_thread(tid, t, monitor);
-            }
-            Op::Fence => {
-                if self.buffering {
-                    self.flush_buffer(tid);
-                }
-                self.advance(tid, t);
+            Step::TaskEnded(task) => {
+                let task = task.expect("a popped frame implies a running task");
+                monitor.on_task_end(task, tid, t);
+                self.schedule(tid, t);
             }
         }
-    }
-
-    /// The reference state thread `tid` observes for `obj`: its own most
-    /// recent buffered store, else shared memory. A core always sees its
-    /// own stores (store-to-load forwarding).
-    fn view_of(&self, tid: ThreadId, obj: ObjectId) -> RefState {
-        self.store_buffers[tid.0 as usize]
-            .iter()
-            .rev()
-            .find(|e| e.obj == obj)
-            .map(|e| e.to)
-            .unwrap_or_else(|| self.heap.state(obj))
     }
 
     /// Commits every store across all buffers whose drain time has
-    /// arrived, earliest first (ties broken by thread id), respecting the
-    /// model's ordering constraint: whole-buffer FIFO under TSO,
-    /// per-location FIFO under PSO.
+    /// arrived, earliest first (ties broken by thread id), among the
+    /// entries the model lets commit next.
     fn drain_due(&mut self, now: SimTime) {
         loop {
-            let mut best: Option<(SimTime, usize, usize)> = None;
-            for (ti, buf) in self.store_buffers.iter().enumerate() {
-                if self.config.memory.model == MemoryModel::Pso {
-                    for (i, e) in buf.iter().enumerate() {
-                        if e.drain_at <= now
-                            && buf[..i].iter().all(|p| p.obj != e.obj)
-                            && best.is_none_or(|(bt, bi, _)| (e.drain_at, ti) < (bt, bi))
-                        {
-                            best = Some((e.drain_at, ti, i));
-                        }
-                    }
-                } else if let Some(e) = buf.first() {
-                    if e.drain_at <= now
-                        && best.is_none_or(|(bt, bi, _)| (e.drain_at, ti) < (bt, bi))
-                    {
-                        best = Some((e.drain_at, ti, 0));
+            let mut best: Option<(SimTime, ThreadId, usize)> = None;
+            for (t, th) in self.kernel.threads().iter().enumerate() {
+                if th.buffer.is_empty() {
+                    continue;
+                }
+                let t = ThreadId(t as u32);
+                for (i, e) in self.kernel.committable(t) {
+                    if e.tag <= now && best.is_none_or(|(bt, bi, _)| (e.tag, t) < (bt, bi)) {
+                        best = Some((e.tag, t, i));
                     }
                 }
             }
-            let Some((_, ti, i)) = best else { return };
-            let e = self.store_buffers[ti].remove(i);
-            self.heap.commit(e.obj, e.to);
+            let Some((_, t, i)) = best else { return };
+            self.commit_store(t, i);
         }
     }
 
-    /// Forced drain point: commits this thread's entire buffer now, in
-    /// buffer order (which preserves per-location order under both
-    /// models).
-    fn flush_buffer(&mut self, tid: ThreadId) {
-        for e in self.store_buffers[tid.0 as usize].drain(..) {
-            self.heap.commit(e.obj, e.to);
-        }
+    fn commit_store(&mut self, tid: ThreadId, i: usize) {
+        #[cfg(test)]
+        self.log.push(Transition::Commit(tid, i));
+        self.kernel.commit_store(tid, i, &mut self.fx);
     }
 
-    /// Buffers (or immediately commits) a just-executed store.
-    ///
-    /// `injected` is the delay the monitor asked for when
-    /// [`MemoryConfig::delay_stretches_drain`] holds: it lands on the
-    /// drain time — widening the window in which other threads read the
-    /// stale value — while the storing thread runs ahead undelayed.
-    fn buffer_store(
-        &mut self,
-        tid: ThreadId,
-        t: SimTime,
-        dur: SimTime,
-        obj: ObjectId,
-        to: RefState,
-        injected: SimTime,
-    ) {
-        match self.config.memory.drain {
-            DrainPolicy::EveryStore => self.heap.commit(obj, to),
-            DrainPolicy::Window { latency } => {
-                let lat = self.noised(latency);
-                let mut drain_at = t + dur + lat + injected;
-                let buf = &mut self.store_buffers[tid.0 as usize];
-                // FIFO preservation: a store never drains before an
-                // earlier store it is ordered after — the whole buffer
-                // under TSO, same-location entries under PSO. This is
-                // what keeps a PSO-only plant unexposable under TSO even
-                // with injection.
-                let floor = match self.config.memory.model {
-                    MemoryModel::Pso => {
-                        buf.iter().rev().find(|e| e.obj == obj).map(|e| e.drain_at)
-                    }
-                    _ => buf.last().map(|e| e.drain_at),
-                };
-                if let Some(f) = floor {
-                    drain_at = drain_at.max(f);
+    /// Resumes, at time `t`, the threads the last kernel call woke.
+    #[inline]
+    fn wake(&mut self, t: SimTime, monitor: &mut dyn Monitor) {
+        for i in 0..self.fx.woken.len() {
+            let (w, by) = self.fx.woken[i];
+            let th = &mut self.threads[w.0 as usize];
+            // Resume no earlier than the block start (cannot happen under
+            // monotone virtual time, but kept safe).
+            let resume = t.max(th.blocked_since);
+            let interval = BlockedInterval {
+                thread: w,
+                start: th.blocked_since,
+                end: resume,
+                by,
+            };
+            self.result.blocked.push(interval);
+            th.last_block = Some(interval);
+            self.schedule(w, resume);
+            if by == BlockedBy::Join {
+                for &joined in &self.kernel.thread(w).join_targets {
+                    monitor.on_join(w, joined, t);
                 }
-                buf.push(BufferedStore { obj, to, drain_at });
             }
         }
     }
 
-    /// Advances past the current op and reschedules the thread.
-    fn advance(&mut self, tid: ThreadId, at: SimTime) {
-        let th = &mut self.threads[tid.0 as usize];
-        th.pc += 1;
-        th.now = at;
-        self.schedule(tid, at);
-    }
-
-    fn begin_join(&mut self, tid: ThreadId, t: SimTime, targets: HashSet<ThreadId>) {
-        if targets.is_empty() {
-            self.advance(tid, t);
-        } else {
-            self.join_targets
-                .insert(tid, targets.iter().copied().collect());
-            self.join_waiting.insert(tid, targets);
-            self.block(tid, t, BlockedBy::Join);
-        }
-    }
-
-    /// Emits the join edges for a joiner that just resumed.
-    fn notify_join(&mut self, tid: ThreadId, t: SimTime, monitor: &mut dyn Monitor) {
-        if let Some(targets) = self.join_targets.remove(&tid) {
-            for joined in targets {
-                monitor.on_join(tid, joined, t);
-            }
-        }
-    }
-
-    fn block(&mut self, tid: ThreadId, t: SimTime, by: BlockedBy) {
-        let th = &mut self.threads[tid.0 as usize];
-        th.status = Status::Blocked(by, t);
-        th.now = t;
-    }
-
-    /// Resumes a blocked thread at time `t` (or its block start if later,
-    /// which cannot happen under monotone virtual time but is kept safe).
-    fn unblock(&mut self, tid: ThreadId, t: SimTime) {
-        let th = &mut self.threads[tid.0 as usize];
-        let Status::Blocked(by, since) = th.status else {
-            return;
-        };
-        let resume = t.max(since);
-        let interval = BlockedInterval {
-            thread: tid,
-            start: since,
-            end: resume,
-            by,
-        };
-        self.result.blocked.push(interval);
-        th.last_block = Some(interval);
-        th.status = Status::Ready;
-        th.now = resume;
-        // The blocking op completed; move past it.
-        th.pc += 1;
-        self.schedule(tid, resume);
-    }
-
-    fn release_lock(&mut self, tid: ThreadId, lock: LockId, t: SimTime) {
-        let ls = &mut self.locks[lock.0 as usize];
-        if ls.holder == Some(tid) {
-            ls.holder = None;
-            self.threads[tid.0 as usize].held.retain(|&l| l != lock);
-            if let Some(next) = ls.waiters.pop_front() {
-                ls.holder = Some(next);
-                self.threads[next.0 as usize].held.push(lock);
-                self.unblock(next, t);
-            }
-        }
+    /// Engine side of a thread exit the kernel just performed.
+    fn exited(&mut self, tid: ThreadId, t: SimTime, monitor: &mut dyn Monitor) {
+        self.max_time = self.max_time.max(t);
+        self.wake(t, monitor);
+        monitor.on_thread_exit(tid, t);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -769,7 +479,6 @@ impl<'w> Simulator<'w> {
         };
         self.prune_active_delays(t);
         let action = {
-            let th = &self.threads[tid.0 as usize];
             let ctx = AccessCtx {
                 time: t,
                 thread: tid,
@@ -777,9 +486,9 @@ impl<'w> Simulator<'w> {
                 obj,
                 kind,
                 dyn_index,
-                task: th.current_task,
+                task: self.kernel.thread(tid).task,
                 active_delays: &self.active_delays,
-                last_block: th.last_block.as_ref(),
+                last_block: self.threads[tid.0 as usize].last_block.as_ref(),
             };
             monitor.on_access_pre(&ctx)
         };
@@ -806,6 +515,10 @@ impl<'w> Simulator<'w> {
                     site,
                     end: t + d,
                 });
+                let pending = PendingAccess {
+                    delayed_by: d,
+                    ..pending
+                };
                 // Under a weak model with a drain window, a delay at a
                 // *store* does not pause the thread: it stretches the
                 // store's residence in the buffer instead. The thread
@@ -817,22 +530,9 @@ impl<'w> Simulator<'w> {
                 let stretches = self.config.memory.delay_stretches_drain()
                     && matches!(kind, AccessKind::Init | AccessKind::Dispose);
                 if stretches {
-                    self.perform_access(
-                        tid,
-                        t,
-                        PendingAccess {
-                            delayed_by: d,
-                            ..pending
-                        },
-                        monitor,
-                    );
+                    self.perform_access(tid, t, pending, monitor);
                 } else {
-                    let th = &mut self.threads[tid.0 as usize];
-                    th.pending = Some(PendingAccess {
-                        delayed_by: d,
-                        ..pending
-                    });
-                    th.now = t + d;
+                    self.threads[tid.0 as usize].pending = Some(pending);
                     self.schedule(tid, t + d);
                 }
             }
@@ -848,20 +548,37 @@ impl<'w> Simulator<'w> {
     ) {
         self.max_time = self.max_time.max(t);
         self.result.instrumented_ops += 1;
-        let outcome = if self.buffering {
-            // The access classifies against this thread's *view*: its own
-            // buffered stores first, then shared memory. The cell itself is
-            // only written when the store drains.
-            let view = self.view_of(tid, p.obj);
-            self.heap.apply_buffered(p.obj, p.site, p.kind, view)
-        } else {
-            self.heap.apply(p.obj, p.site, p.kind)
-        };
         let dur = self.noised(p.dur);
-        if self.buffering {
-            if let Ok(AccessOutcome::Transition { to, .. }) = outcome {
-                self.buffer_store(tid, t, dur, p.obj, to, p.delayed_by);
-            }
+        #[cfg(test)]
+        self.log.push(Transition::Access(tid));
+        let rng = &mut self.rng;
+        let (pct, memory) = (self.config.timing_noise_pct, self.config.memory);
+        let drain_at = |buf: &[BufferedStore<SimTime>], obj| {
+            // A buffered store drains a noised latency after it completes;
+            // an injected delay at it (`delayed_by`, when the delay
+            // stretches the drain) lands on the drain time, widening the
+            // window in which other threads read the stale value.
+            let DrainPolicy::Window { latency } = memory.drain else {
+                return SimTime::ZERO;
+            };
+            let at = t + dur + noised(rng, pct, latency) + p.delayed_by;
+            // FIFO preservation: a store never drains before an earlier
+            // store it is ordered after — the whole buffer under TSO,
+            // same-location entries under PSO. This is what keeps a
+            // PSO-only plant unexposable under TSO even with injection.
+            let floor = match memory.model {
+                MemoryModel::Pso => buf.iter().rev().find(|e| e.obj == obj),
+                _ => buf.last(),
+            };
+            floor.map_or(at, |f| at.max(f.tag))
+        };
+        let outcome = self
+            .kernel
+            .commit_access(self.workload, tid, &mut self.fx, drain_at);
+        if memory.drain == DrainPolicy::EveryStore && !self.kernel.thread(tid).buffer.is_empty() {
+            // Drain-every-store: the buffer holds only this store, and it
+            // commits at once.
+            self.commit_store(tid, 0);
         }
         if p.kind == AccessKind::UnsafeApiCall && outcome.is_ok() {
             // TSVD trap semantics: a thread paused by an injected delay is
@@ -888,7 +605,7 @@ impl<'w> Simulator<'w> {
             obj: p.obj,
             kind: p.kind,
             dyn_index: p.dyn_index,
-            task: self.threads[tid.0 as usize].current_task,
+            task: self.kernel.thread(tid).task,
             delayed_by: p.delayed_by,
             outcome,
         };
@@ -896,7 +613,7 @@ impl<'w> Simulator<'w> {
         match outcome {
             Ok(_) => {
                 let overhead = monitor.instr_overhead(p.kind);
-                self.advance(tid, t + dur + overhead);
+                self.schedule(tid, t + dur + overhead);
             }
             Err(error) => {
                 if self.result.exceptions.is_empty() {
@@ -906,10 +623,11 @@ impl<'w> Simulator<'w> {
                     self.result.thread_contexts = self
                         .threads
                         .iter()
+                        .zip(self.kernel.threads())
                         .enumerate()
-                        .map(|(i, th)| ThreadContext {
+                        .map(|(i, (th, k))| ThreadContext {
                             thread: checked_thread_id(i),
-                            script: self.workload.script(th.script).name.clone(),
+                            script: self.workload.script(k.script).name.clone(),
                             faulting: checked_thread_id(i) == tid,
                             recent: th.recent.iter().copied().collect(),
                         })
@@ -920,7 +638,8 @@ impl<'w> Simulator<'w> {
                     thread: tid,
                     time: t,
                 });
-                self.exit_thread(tid, t, monitor);
+                // The kernel already killed the thread.
+                self.exited(tid, t, monitor);
             }
         }
     }
@@ -946,52 +665,15 @@ impl<'w> Simulator<'w> {
             site,
         });
     }
-
-    fn exit_thread(&mut self, tid: ThreadId, t: SimTime, monitor: &mut dyn Monitor) {
-        self.max_time = self.max_time.max(t);
-        if self.buffering {
-            // Thread exit is a full barrier: a dying thread's stores become
-            // globally visible (the OS drains the buffer on context loss).
-            self.flush_buffer(tid);
-        }
-        {
-            let th = &mut self.threads[tid.0 as usize];
-            th.status = Status::Done;
-            th.now = t;
-        }
-        // Unwind: release every held lock (finally-block semantics). The
-        // thread is done, so its `held` list can be taken outright instead
-        // of cloned; `release_lock`'s retain on the emptied list is a no-op.
-        let held: Vec<LockId> = std::mem::take(&mut self.threads[tid.0 as usize].held);
-        for lock in held {
-            self.release_lock(tid, lock, t);
-        }
-        // Wake joiners waiting on this thread, collecting them into the
-        // reused scratch buffer (thread churn exits constantly; this path
-        // must not allocate).
-        let mut waiters = std::mem::take(&mut self.waiter_scratch);
-        waiters.clear();
-        for (w, set) in self.join_waiting.iter_mut() {
-            set.remove(&tid);
-            if set.is_empty() {
-                waiters.push(*w);
-            }
-        }
-        for w in &waiters {
-            self.join_waiting.remove(w);
-        }
-        for &w in &waiters {
-            self.unblock(w, t);
-            self.notify_join(w, t, monitor);
-        }
-        self.waiter_scratch = waiters;
-        monitor.on_thread_exit(tid, t);
-    }
 }
+
+#[cfg(test)]
+mod conformance;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::Cond;
     use crate::time::{ms, us};
     use crate::workload::WorkloadBuilder;
 

@@ -22,6 +22,11 @@
 //!   overlapping thread-unsafe API calls on one object record a
 //!   thread-safety violation (for the TSVD comparison tooling).
 //!
+//! What every operation *does* — the heap state machine, locks, events,
+//! joins, tasks and store buffers — lives once, in the time-free step
+//! kernel [`semantics::Kernel`]; the engine drives it under virtual time,
+//! and the schedule oracle in `waffle-fuzz` drives it under a search.
+//!
 //! Determinism: runs are a pure function of `(workload, config, monitor)`.
 //! Run-to-run timing variation — which the paper's probabilistic method
 //! needs — comes from seeded per-operation timing noise
@@ -66,6 +71,7 @@ pub mod monitor;
 pub mod op;
 pub mod repair;
 pub mod result;
+pub mod semantics;
 pub mod tasks;
 pub mod time;
 pub mod tls;

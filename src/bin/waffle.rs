@@ -40,6 +40,36 @@
 //! `waffle_core::attempt_seed`), so `--jobs` changes wall-clock time only:
 //! the summary is identical at any worker count.
 
+// Everything this binary prints to standard output goes through these
+// shadows of `print!`/`println!`: a reader that closes the pipe early
+// (`waffle list | head -1`) ends the program quietly with status 0 instead
+// of a panic. Any other write error panics with the message `print!`
+// itself gives.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+macro_rules! println {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 

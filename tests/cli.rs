@@ -21,6 +21,29 @@ fn list_names_all_apps_and_bug_tags() {
 }
 
 #[test]
+fn closed_stdout_ends_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    // `waffle list | head -1`: read one line, then close the pipe while
+    // the program is still writing.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_waffle"))
+        .arg("list")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first line");
+    assert!(!first.is_empty());
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "status {:?}, stderr: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+#[test]
 fn bugs_lists_all_eighteen() {
     let out = waffle(&["bugs"]);
     assert!(out.status.success());
