@@ -11,55 +11,14 @@
 //! confirming the bounded memo still yields byte-identical plans.
 
 use waffle_analysis::{analyze_indexed, analyze_unindexed, AnalyzerConfig};
+use waffle_bench::alloc_probe;
 use waffle_mem::{AccessKind, ObjectId, SiteRegistry};
 use waffle_sim::{SimTime, ThreadId};
 use waffle_trace::{ClockPool, Trace, TraceEvent, TraceIndex};
 use waffle_vclock::ClockSnapshot;
 
-/// Heap-byte counter wrapping the system allocator (same proxy the bench
-/// suite uses; the workspace has no allocator introspection deps).
-mod alloc_counter {
-    #![allow(unsafe_code)] // GlobalAlloc is inherently unsafe; test-only code.
-
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static LIVE: AtomicU64 = AtomicU64::new(0);
-    static PEAK: AtomicU64 = AtomicU64::new(0);
-
-    /// Pass-through allocator tracking live and peak heap bytes.
-    pub struct CountingAlloc;
-
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            let p = System.alloc(layout);
-            if !p.is_null() {
-                let live =
-                    LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed) + layout.size() as u64;
-                PEAK.fetch_max(live, Ordering::Relaxed);
-            }
-            p
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout);
-            LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Restarts the peak watermark from the current live total.
-    pub fn reset_peak() {
-        PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// Peak live heap bytes since the last [`reset_peak`].
-    pub fn peak() -> u64 {
-        PEAK.load(Ordering::Relaxed)
-    }
-}
-
 #[global_allocator]
-static ALLOC: alloc_counter::CountingAlloc = alloc_counter::CountingAlloc;
+static ALLOC: alloc_probe::CountingAlloc = alloc_probe::CountingAlloc;
 
 /// `n` events on one object, 1 µs apart (all inside one δ window):
 /// alternating `Init` on thread 0 / `Use` on thread 1, each event with a
@@ -102,9 +61,9 @@ fn clock_diverse_trace(n: u64) -> Trace {
 /// Peak heap bytes of one `analyze_indexed` pass over a prebuilt index.
 fn analysis_peak(trace: &Trace, config: &AnalyzerConfig) -> u64 {
     let index = TraceIndex::build(trace);
-    alloc_counter::reset_peak();
+    alloc_probe::reset_peak();
     let plan = analyze_indexed(&index, config, 1);
-    let peak = alloc_counter::peak();
+    let peak = alloc_probe::peak();
     drop(plan);
     peak
 }

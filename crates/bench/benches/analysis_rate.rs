@@ -15,7 +15,7 @@
 
 use criterion::{black_box, Criterion};
 use waffle_analysis::{analyze_indexed, analyze_unindexed, AnalyzerConfig};
-use waffle_bench::{AnalysisBenchReport, AnalysisRate, BenchEntry};
+use waffle_bench::{alloc_probe, AnalysisBenchReport, AnalysisRate, BenchEntry};
 use waffle_sim::{SimConfig, SimTime, Simulator, Workload, WorkloadBuilder};
 use waffle_trace::{TraceIndex, TraceRecorder};
 
@@ -26,51 +26,8 @@ const OBJECTS: usize = 64;
 /// Passes each worker makes over the whole object pool.
 const ROUNDS: usize = 400;
 
-/// Heap-byte counter wrapping the system allocator. Peak live bytes are
-/// the report's RSS proxy; `Relaxed` ordering is fine because the bench
-/// reads the counters only between single-threaded measurement sections.
-mod alloc_counter {
-    #![allow(unsafe_code)] // GlobalAlloc is inherently unsafe; this is bench-only code.
-
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static LIVE: AtomicU64 = AtomicU64::new(0);
-    static PEAK: AtomicU64 = AtomicU64::new(0);
-
-    /// Pass-through allocator that tracks live and peak heap bytes.
-    pub struct CountingAlloc;
-
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            let p = System.alloc(layout);
-            if !p.is_null() {
-                let live =
-                    LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed) + layout.size() as u64;
-                PEAK.fetch_max(live, Ordering::Relaxed);
-            }
-            p
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout);
-            LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Restarts the peak watermark from the current live total.
-    pub fn reset_peak() {
-        PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// Peak live heap bytes since the last [`reset_peak`].
-    pub fn peak() -> u64 {
-        PEAK.load(Ordering::Relaxed)
-    }
-}
-
 #[global_allocator]
-static ALLOC: alloc_counter::CountingAlloc = alloc_counter::CountingAlloc;
+static ALLOC: alloc_probe::CountingAlloc = alloc_probe::CountingAlloc;
 
 /// Builds the synthetic workload: `main` inits every object, forks the
 /// workers, joins them, and disposes everything; each worker cycles over
@@ -161,16 +118,16 @@ fn main() {
 
     // Peak-heap watermarks for one pass of each flavor, outside the timed
     // sections so the allocator bookkeeping cannot skew the means.
-    alloc_counter::reset_peak();
+    alloc_probe::reset_peak();
     let plan = analyze_unindexed(&trace, &config);
     drop(plan);
-    let peak_unindexed = alloc_counter::peak();
-    alloc_counter::reset_peak();
+    let peak_unindexed = alloc_probe::peak();
+    alloc_probe::reset_peak();
     let index = TraceIndex::build(&trace);
     let plan = analyze_indexed(&index, &config, 1);
     drop(plan);
     drop(index);
-    let peak_indexed = alloc_counter::peak();
+    let peak_indexed = alloc_probe::peak();
 
     let results = c.results();
     let mean = |name: &str| {

@@ -27,47 +27,13 @@
 
 use std::time::Instant;
 
-use waffle_bench::{OracleBenchReport, OracleBenchRow};
+use waffle_bench::{alloc_probe, OracleBenchReport, OracleBenchRow};
 use waffle_fuzz::{explore, generate_case_for_model, OracleConfig, OracleReport};
 use waffle_sim::time::us;
 use waffle_sim::{MemoryModel, Workload, WorkloadBuilder};
 
-/// Allocation-event counter wrapping the system allocator.
-mod alloc_counter {
-    #![allow(unsafe_code)] // GlobalAlloc is inherently unsafe; bench-only code.
-
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static EVENTS: AtomicU64 = AtomicU64::new(0);
-
-    /// Pass-through allocator that counts allocation calls.
-    pub struct CountingAlloc;
-
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            EVENTS.fetch_add(1, Ordering::Relaxed);
-            System.alloc(layout)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout);
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            EVENTS.fetch_add(1, Ordering::Relaxed);
-            System.realloc(ptr, layout, new_size)
-        }
-    }
-
-    /// Allocation events since process start.
-    pub fn events() -> u64 {
-        EVENTS.load(Ordering::Relaxed)
-    }
-}
-
 #[global_allocator]
-static ALLOC: alloc_counter::CountingAlloc = alloc_counter::CountingAlloc;
+static ALLOC: alloc_probe::CountingAlloc = alloc_probe::CountingAlloc;
 
 /// Generator seeds per model for the `generated` population.
 const SEEDS: u64 = 10;
@@ -216,9 +182,9 @@ fn main() {
     // Allocation probe: a full naive exploration of the grid under TSO at
     // bound 3 visits thousands of states; the explorer may allocate on
     // depth growth, memo resize, and witness assembly — never per state.
-    let before = alloc_counter::events();
+    let before = alloc_probe::events();
     let probe = run(&grid_w[0], MemoryModel::Tso, 3, false);
-    let alloc_events = alloc_counter::events() - before;
+    let alloc_events = alloc_probe::events() - before;
     assert!(
         alloc_events < probe.states_explored / 2,
         "exploration allocated {alloc_events} times over {} states — the hot loop allocates",

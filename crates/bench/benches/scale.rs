@@ -30,7 +30,7 @@ use std::time::Instant;
 
 use waffle_analysis::{analyze_indexed, analyze_segments, analyze_unindexed, AnalyzerConfig};
 use waffle_apps::all_apps;
-use waffle_bench::{ScaleBenchReport, ScaleSweepPoint, WorkerRate};
+use waffle_bench::{alloc_probe, ScaleBenchReport, ScaleSweepPoint, WorkerRate};
 use waffle_core::{Campaign, CampaignConfig, CellSpec, WorkOptions};
 use waffle_mem::{AccessKind, ObjectId, SiteRegistry};
 use waffle_sim::{SimTime, ThreadId, Workload};
@@ -46,50 +46,8 @@ const CHAIN_CLOCKS: u64 = 509;
 /// comparison honest for a many-thread (thread-pool) application.
 const CHAIN_ENTRIES: u32 = 64;
 
-/// Heap-byte counter wrapping the system allocator (peak-RSS proxy; the
-/// workspace has no allocator introspection deps).
-mod alloc_counter {
-    #![allow(unsafe_code)] // GlobalAlloc is inherently unsafe; bench-only code.
-
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static LIVE: AtomicU64 = AtomicU64::new(0);
-    static PEAK: AtomicU64 = AtomicU64::new(0);
-
-    /// Pass-through allocator that tracks live and peak heap bytes.
-    pub struct CountingAlloc;
-
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            let p = System.alloc(layout);
-            if !p.is_null() {
-                let live =
-                    LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed) + layout.size() as u64;
-                PEAK.fetch_max(live, Ordering::Relaxed);
-            }
-            p
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout);
-            LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Restarts the peak watermark from the current live total.
-    pub fn reset_peak() {
-        PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// Peak live heap bytes since the last [`reset_peak`].
-    pub fn peak() -> u64 {
-        PEAK.load(Ordering::Relaxed)
-    }
-}
-
 #[global_allocator]
-static ALLOC: alloc_counter::CountingAlloc = alloc_counter::CountingAlloc;
+static ALLOC: alloc_probe::CountingAlloc = alloc_probe::CountingAlloc;
 
 /// Builds the synthetic trace directly: event `i` hits object `i %
 /// OBJECTS` at `i+1` µs, cycling thread and access kind per round
@@ -297,11 +255,11 @@ fn main() {
         }
         let mut reader = SegmentReader::open(&path).expect("segments open");
         let batches = waffle_analysis::ooc_stats(&reader, budget).batches;
-        alloc_counter::reset_peak();
+        alloc_probe::reset_peak();
         let t0 = Instant::now();
         let plan = analyze_segments(&mut reader, &config, 1, budget).expect("ooc analysis");
         let secs = t0.elapsed().as_secs_f64();
-        let peak = alloc_counter::peak();
+        let peak = alloc_probe::peak();
         if size == n {
             ooc_secs_full = secs;
             assert_eq!(

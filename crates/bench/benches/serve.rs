@@ -32,7 +32,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use waffle_analysis::{analyze_jobs, analyze_tsv_indexed, AnalyzerConfig, IncrementalAnalysis};
-use waffle_bench::{ServeBenchReport, ServeSweepPoint};
+use waffle_bench::{alloc_probe, ServeBenchReport, ServeSweepPoint};
 use waffle_core::session_report_json;
 use waffle_mem::{AccessKind, ObjectId, SiteId, SiteRegistry};
 use waffle_sim::{SimTime, ThreadId};
@@ -57,50 +57,8 @@ const SEAL_EVENTS: usize = 64 << 10;
 /// Resident budget handed to the finish-time interference pass.
 const FINISH_BUDGET: u64 = 64 << 20;
 
-/// Heap-byte counter wrapping the system allocator (peak-RSS proxy; the
-/// workspace has no allocator introspection deps).
-mod alloc_counter {
-    #![allow(unsafe_code)] // GlobalAlloc is inherently unsafe; bench-only code.
-
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static LIVE: AtomicU64 = AtomicU64::new(0);
-    static PEAK: AtomicU64 = AtomicU64::new(0);
-
-    /// Pass-through allocator that tracks live and peak heap bytes.
-    pub struct CountingAlloc;
-
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            let p = System.alloc(layout);
-            if !p.is_null() {
-                let live =
-                    LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed) + layout.size() as u64;
-                PEAK.fetch_max(live, Ordering::Relaxed);
-            }
-            p
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout);
-            LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Restarts the peak watermark from the current live total.
-    pub fn reset_peak() {
-        PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// Peak live heap bytes since the last [`reset_peak`].
-    pub fn peak() -> u64 {
-        PEAK.load(Ordering::Relaxed)
-    }
-}
-
 #[global_allocator]
-static ALLOC: alloc_counter::CountingAlloc = alloc_counter::CountingAlloc;
+static ALLOC: alloc_probe::CountingAlloc = alloc_probe::CountingAlloc;
 
 /// Bounded-size stream source: the site registry, clock pool, and
 /// per-object site trios are materialized once (O(`OBJECTS`)); events are
@@ -225,7 +183,7 @@ struct StreamRun {
 fn streamed_session(src: &EventSource, n: u64, scratch: &Path, tag: &str) -> StreamRun {
     let dir = scratch.join(format!("session-{tag}"));
     std::fs::create_dir_all(&dir).expect("session dir");
-    alloc_counter::reset_peak();
+    alloc_probe::reset_peak();
     let t0 = Instant::now();
 
     let Frame::Hello { workload } = roundtrip(&Frame::Hello {
@@ -280,7 +238,7 @@ fn streamed_session(src: &EventSource, n: u64, scratch: &Path, tag: &str) -> Str
     if b.pending_events() > 0 || generations.is_empty() {
         seal(&mut b, &mut inc, &mut generations);
     }
-    let ingest_peak = alloc_counter::peak();
+    let ingest_peak = alloc_probe::peak();
     let ingest_secs = t0.elapsed().as_secs_f64();
 
     let compacted = dir.join("session.wseg");

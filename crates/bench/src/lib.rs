@@ -5,8 +5,10 @@
 //! this library holds the measurement drivers they share. The harnesses
 //! fan their experiment grids over [`waffle_core::ExperimentEngine`]
 //! (worker count from `WAFFLE_JOBS`), and the `engine_rate` target writes
-//! throughput figures to `BENCH_core.json` via [`bench_report`].
+//! throughput figures to `BENCH_core.json` via [`bench_report`]. The
+//! benches that measure heap use install the [`alloc_probe`] allocator.
 
+pub mod alloc_probe;
 pub mod bench_report;
 pub mod drivers;
 

@@ -429,7 +429,8 @@ impl FuzzReport {
             let _ = writeln!(
                 out,
                 "warning: {truncated_skips} planted case(s) hit the oracle state cap — \
-                 unexposability unchecked there; raise --max-oracle-states for a clean claim"
+                 unexposability unchecked there; a clean claim needs a larger state cap \
+                 (FuzzConfig::max_oracle_states) or a lower preemption bound"
             );
         }
         if self.disagreements.is_empty() {
@@ -442,7 +443,10 @@ impl FuzzReport {
                     "  seed {} [{}]{}: {}",
                     d.seed,
                     d.kind.label(),
-                    d.tool.as_deref().map(|t| format!(" {t}")).unwrap_or_default(),
+                    d.tool
+                        .as_deref()
+                        .map(|t| format!(" {t}"))
+                        .unwrap_or_default(),
                     d.detail
                 );
             }
@@ -939,6 +943,37 @@ mod tests {
             serial.to_json().unwrap(),
             parallel.to_json().unwrap(),
             "report must be byte-identical at any job count"
+        );
+    }
+
+    #[test]
+    fn truncated_skips_warn_without_naming_a_flag() {
+        let mut metrics = MetricsRegistry::new();
+        metrics.inc("fuzz/truncated_skips", 1);
+        let report = FuzzReport {
+            seed_base: 0,
+            seeds: 1,
+            preemption_bound: 2,
+            max_detection_runs: 16,
+            memory: MemoryModel::Sc,
+            cases: Vec::new(),
+            disagreements: Vec::new(),
+            metrics,
+        };
+        let text = report.render();
+        let warning = text
+            .lines()
+            .find(|l| l.starts_with("warning: "))
+            .expect("a warning line");
+        assert_eq!(
+            warning,
+            "warning: 1 planted case(s) hit the oracle state cap — unexposability unchecked \
+             there; a clean claim needs a larger state cap (FuzzConfig::max_oracle_states) or a \
+             lower preemption bound"
+        );
+        assert!(
+            !warning.contains("--"),
+            "the warning names no command-line flag"
         );
     }
 

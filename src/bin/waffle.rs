@@ -1,40 +1,8 @@
 //! `waffle` — command-line front end for the detection workflow.
 //!
-//! ```text
-//! waffle list                         # applications and test inputs
-//! waffle bugs                         # the 18 seeded Table 4 bugs
-//! waffle analyze <test> [--stats]     # preparation run + trace analysis only
-//! waffle analyze <test> --spill DIR   # same, out-of-core over an on-disk
-//!                                     # segment file under a resident budget
-//! waffle detect <test> [options]      # run a tool on one test input
-//! waffle step <test> --session DIR    # one process-step of the workflow
-//! waffle scan <app> [options]         # run a tool on an app's whole suite
-//! waffle report <bug-id> [options]    # expose a seeded bug, full report
-//! waffle stats <dir> [--json]         # aggregate saved telemetry journals
-//! waffle dot <test>                   # render a workload as Graphviz
-//! waffle serve --socket S --dir D     # streaming trace ingestion server
-//! waffle ingest --socket S --test T   # stream one test's trace to a server
-//! waffle campaign init DIR [options]  # lay out a crash-safe campaign grid
-//! waffle campaign run DIR [options]   # run/resume it (checkpoint per cell)
-//! waffle campaign work DIR [options]  # join as one coordinator-free worker
-//! waffle campaign status DIR [--json] # per-cell state, claims, quarantine
-//! waffle bench --all [--out DIR]      # refresh the BENCH_*.json reports
-//! waffle fuzz [options]               # differential fuzzing vs the oracle
-//! waffle fuzz --repair [options]      # + synthesize a certified repair
-//!                                     # for every oracle-confirmed bug
-//! waffle fix <test> [options]         # oracle-certified fix synthesis
-//!                                     # for one test input
-//!
-//! options:
-//!   --tool waffle|basic|noprep|no-parent-child|fixed-delay|no-interference
-//!   --max-runs N     detection-run budget (default 10)
-//!   --seed N         attempt seed (default 1)
-//!   --attempts N     repetition attempts, summarized per §6.1 (default 1)
-//!   --jobs N         worker threads for --attempts and scan (default 1)
-//!   --session DIR    persist plan/decay/reports to a session directory
-//!   --telemetry DIR  write per-attempt telemetry journals (JSON) to DIR
-//!   --json           machine-readable output
-//! ```
+//! `waffle help` lists every subcommand and every flag. It is generated
+//! from the flag tables below, the same rows the parser reads, so the two
+//! cannot disagree.
 //!
 //! Repetition attempts use the fixed seed ladder 1..=N (see
 //! `waffle_core::attempt_seed`), so `--jobs` changes wall-clock time only:
@@ -70,18 +38,253 @@ fn write_stdout(args: std::fmt::Arguments<'_>) {
     }
 }
 
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use waffle_repro::apps::{all_apps, all_bugs};
 use waffle_repro::core::{
-    attempt_seed, summarize, Campaign, CampaignConfig, CellSpec, CellStatus, CheckpointState,
-    Detector, DetectorConfig, DetectionOutcome, ExperimentEngine, GridCell, RunOptions, Session,
-    Tool, WorkOptions,
+    attempt_seed, summarize, Campaign, CampaignConfig, CampaignReport, CellSpec, CellStatus,
+    CheckpointState, DetectionOutcome, Detector, DetectorConfig, ExperimentEngine, GridCell,
+    QueuePolicy, RunOptions, ServeOptions, Session, Tool, WorkOptions,
 };
+use waffle_repro::fuzz::{FuzzConfig, OracleConfig};
 use waffle_repro::sim::{MemoryConfig, MemoryModel, Workload};
 use waffle_repro::telemetry::{AttemptJournal, MetricsRegistry};
 
+/// One flag a subcommand accepts. [`Command::parse`] reads these rows and
+/// `waffle help` prints them.
+struct Flag<O> {
+    name: &'static str,
+    /// The value's placeholder in help and what the value is in the
+    /// "NAME needs …" error; a switch takes no value.
+    takes: Takes,
+    /// `Some(reason)` refuses a numeric 0 with "NAME must be at least 1"
+    /// followed by the reason.
+    at_least_1: Option<&'static str>,
+    set: Set<O>,
+}
+
+/// How a flag stores what it reads into the subcommand's options.
+enum Set<O> {
+    Switch(fn(&mut O)),
+    Value(Setter<O>),
+}
+
+type Setter<O> = fn(&mut O, &Val) -> Result<(), String>;
+
+/// A value's placeholder in help ("N", "DIR", …) and what the value is
+/// when it is missing ("a value", "a directory", …).
+type Takes = (&'static str, &'static str);
+
+const NUM: Takes = ("N", "a value");
+const BOUND: Takes = ("K", "a value");
+const NAME: Takes = ("NAME", "a value");
+const MODEL: Takes = ("sc|tso|pso", "a value");
+// `DIR` and `DIRECTORY` differ only in the missing-value error, whose
+// text each flag has always had.
+const DIR: Takes = ("DIR", "a value");
+const DIRECTORY: Takes = ("DIR", "a directory");
+const PATH: Takes = ("PATH", "a path");
+const CSV: Takes = ("a,b,…", "a comma-separated list");
+
+impl<O> Flag<O> {
+    const fn switch(name: &'static str, set: fn(&mut O)) -> Self {
+        Self::new(name, ("", ""), None, Set::Switch(set))
+    }
+
+    const fn value(name: &'static str, takes: Takes, set: Setter<O>) -> Self {
+        Self::new(name, takes, None, Set::Value(set))
+    }
+
+    /// A numeric flag that refuses 0.
+    const fn count(name: &'static str, takes: Takes, set: Setter<O>) -> Self {
+        Self::new(name, takes, Some(""), Set::Value(set))
+    }
+
+    const fn new(
+        name: &'static str,
+        takes: Takes,
+        at_least_1: Option<&'static str>,
+        set: Set<O>,
+    ) -> Self {
+        Self {
+            name,
+            takes,
+            at_least_1,
+            set,
+        }
+    }
+}
+
+/// A flag's value as its row's setter receives it.
+struct Val<'a> {
+    flag: &'static str,
+    text: &'a str,
+    at_least_1: Option<&'static str>,
+}
+
+impl Val<'_> {
+    /// Parses a number, path or string, applying the row's "at least 1"
+    /// check.
+    fn get<T: FromStr + Default + PartialEq>(&self) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        let flag = self.flag;
+        let v: T = self.text.parse().map_err(|e| format!("{flag}: {e}"))?;
+        match self.at_least_1 {
+            Some(why) if v == T::default() => Err(format!("{flag} must be at least 1{why}")),
+            _ => Ok(v),
+        }
+    }
+
+    fn list(&self) -> Result<Vec<String>, String> {
+        Ok(self.text.split(',').map(str::to_owned).collect())
+    }
+
+    fn model(&self) -> Result<MemoryModel, String> {
+        let (flag, text) = (self.flag, self.text);
+        MemoryModel::parse(text).ok_or_else(|| format!("{flag}: unknown model {text} (sc|tso|pso)"))
+    }
+}
+
+/// A subcommand: how it is called, what it does and the flags it accepts.
+struct Command<O: 'static> {
+    /// The words that select it ("campaign init").
+    name: &'static str,
+    /// Its positional arguments, as help shows them ("<test>").
+    args: &'static str,
+    /// What it does, one help line per text line.
+    about: &'static str,
+    /// The options before any flag is read.
+    init: fn() -> O,
+    flags: &'static [Flag<O>],
+    /// Reports an unknown option bare, without the subcommand's name, as
+    /// detect, scan, report and step always have.
+    bare: bool,
+    /// Accepts one free-standing argument anywhere among the flags; the
+    /// setter returns false when it holds one already.
+    free: Option<fn(&mut O, &str) -> bool>,
+}
+
+impl<O> Command<O> {
+    const fn new(
+        name: &'static str,
+        args: &'static str,
+        about: &'static str,
+        init: fn() -> O,
+        flags: &'static [Flag<O>],
+    ) -> Self {
+        Self {
+            name,
+            args,
+            about,
+            init,
+            flags,
+            bare: false,
+            free: None,
+        }
+    }
+
+    const fn bare(self) -> Self {
+        Self { bare: true, ..self }
+    }
+
+    /// The parsing loop every subcommand shares.
+    fn parse(&self, args: &[String]) -> Result<O, String> {
+        let mut opts = (self.init)();
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            let Some(flag) = self.flags.iter().find(|f| f.name == a) else {
+                let free = self.free;
+                if free.is_some_and(|take| !a.starts_with("--") && take(&mut opts, a)) {
+                    continue;
+                }
+                let cmd = if self.bare { "" } else { self.name };
+                let sep = if self.bare { "" } else { ": " };
+                return Err(format!("{cmd}{sep}unknown option {a}"));
+            };
+            match flag.set {
+                Set::Switch(set) => set(&mut opts),
+                Set::Value(set) => {
+                    let (name, (_, noun)) = (flag.name, flag.takes);
+                    let text = it.next().ok_or_else(|| format!("{name} needs {noun}"))?;
+                    let value = Val {
+                        flag: name,
+                        text,
+                        at_least_1: flag.at_least_1,
+                    };
+                    set(&mut opts, &value)?;
+                }
+            }
+        }
+        Ok(opts)
+    }
+
+    /// The command's name and its entry in `waffle help`: how it is
+    /// called, every flag it accepts, then what it does.
+    fn help(&self) -> (&'static str, String) {
+        let call = format!("{} {}", self.name, self.args);
+        let mut text = format!("  {}\n", call.trim_end());
+        let mut line = String::new();
+        for f in self.flags {
+            let flag = match f.takes.0 {
+                "" => format!("[{}]", f.name),
+                meta => format!("[{} {meta}]", f.name),
+            };
+            if !line.is_empty() && line.len() + flag.len() > 72 {
+                text += &format!("      {}\n", line.trim_end());
+                line.clear();
+            }
+            line += &flag;
+            line += " ";
+        }
+        if !line.is_empty() {
+            text += &format!("      {}\n", line.trim_end());
+        }
+        for line in self.about.lines() {
+            text += &format!("      {line}\n");
+        }
+        (self.name, text)
+    }
+}
+
+/// Every command's name and help entry, in the order `waffle help` lists
+/// them.
+#[rustfmt::skip]
+fn commands() -> [(&'static str, String); 19] {
+    [
+        LIST.help(), BUGS.help(), DETECT.help(), STEP.help(), SCAN.help(), REPORT.help(),
+        ANALYZE.help(), DOT.help(), STATS.help(), SERVE.help(), INGEST.help(),
+        CAMPAIGN_INIT.help(), CAMPAIGN_RUN.help(), CAMPAIGN_WORK.help(), CAMPAIGN_STATUS.help(),
+        FUZZ.help(), FIX.help(), BENCH.help(), HELP.help(),
+    ]
+}
+
+/// The usage line a bare `waffle` prints.
+fn usage() -> String {
+    let mut names: Vec<&str> = commands()
+        .iter()
+        .map(|(name, _)| name.split(' ').next().unwrap_or(name))
+        .collect();
+    names.dedup();
+    format!("usage: waffle <{}> …", names.join("|"))
+}
+
+fn help() -> String {
+    let mut text = format!(
+        "waffle — active delay injection for MemOrder bugs\n\n{}\n\ncommands:\n",
+        usage()
+    );
+    for (_, entry) in commands() {
+        text += &entry;
+    }
+    text
+}
+
+/// Options of detect, scan, report and step.
 struct Options {
     tool: Tool,
     tool_name: String,
@@ -95,84 +298,325 @@ struct Options {
     memory: MemoryModel,
 }
 
-fn parse_memory_model(v: &str) -> Result<MemoryModel, String> {
-    MemoryModel::parse(v).ok_or_else(|| format!("--memory-model: unknown model {v} (sc|tso|pso)"))
-}
-
-fn parse_tool(name: &str) -> Option<Tool> {
-    Tool::by_name(name)
-}
-
-fn parse_options(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        tool: Tool::waffle(),
-        tool_name: "waffle".into(),
-        max_runs: 10,
-        seed: 1,
-        attempts: 1,
-        jobs: 1,
-        session: None,
-        telemetry: None,
-        json: false,
-        memory: MemoryModel::Sc,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--tool" => {
-                let v = it.next().ok_or("--tool needs a value")?;
-                opts.tool = parse_tool(v).ok_or_else(|| format!("unknown tool {v}"))?;
-                opts.tool_name = v.clone();
-            }
-            "--max-runs" => {
-                opts.max_runs = it
-                    .next()
-                    .ok_or("--max-runs needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--max-runs: {e}"))?;
-            }
-            "--seed" => {
-                opts.seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--attempts" => {
-                opts.attempts = it
-                    .next()
-                    .ok_or("--attempts needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--attempts: {e}"))?;
-                if opts.attempts == 0 {
-                    return Err("--attempts must be at least 1".into());
-                }
-            }
-            "--jobs" => {
-                opts.jobs = it
-                    .next()
-                    .ok_or("--jobs needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?;
-                if opts.jobs == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-            }
-            "--session" => {
-                opts.session = Some(it.next().ok_or("--session needs a value")?.clone());
-            }
-            "--telemetry" => {
-                opts.telemetry =
-                    Some(PathBuf::from(it.next().ok_or("--telemetry needs a value")?));
-            }
-            "--memory-model" => {
-                opts.memory = parse_memory_model(it.next().ok_or("--memory-model needs a value")?)?;
-            }
-            "--json" => opts.json = true,
-            other => return Err(format!("unknown option {other}")),
+impl Default for Options {
+    fn default() -> Self {
+        Self {
+            tool: Tool::waffle(),
+            tool_name: "waffle".into(),
+            max_runs: 10,
+            seed: 1,
+            attempts: 1,
+            jobs: 1,
+            session: None,
+            telemetry: None,
+            json: false,
+            memory: MemoryModel::Sc,
         }
     }
-    Ok(opts)
+}
+
+// The subcommand tables below are laid out by hand, one flag row per line.
+
+/// The flags of detect, scan and report; step accepts the first five.
+#[rustfmt::skip]
+const DETECT_FLAGS: &[Flag<Options>] = &[
+    Flag::value("--tool", NAME, |o, v| {
+        o.tool = Tool::by_name(v.text).ok_or_else(|| format!("unknown tool {}", v.text))?;
+        o.tool_name = v.text.to_owned();
+        Ok(())
+    }),
+    Flag::value("--seed", NUM, |o, v| v.get().map(|n| o.seed = n)),
+    Flag::value("--session", DIR, |o, v| v.get().map(|d| o.session = Some(d))),
+    Flag::value("--memory-model", MODEL, |o, v| v.model().map(|m| o.memory = m)),
+    Flag::switch("--json", |o| o.json = true),
+    Flag::value("--max-runs", NUM, |o, v| v.get().map(|n| o.max_runs = n)),
+    Flag::count("--attempts", NUM, |o, v| v.get().map(|n| o.attempts = n)),
+    Flag::count("--jobs", NUM, |o, v| v.get().map(|n| o.jobs = n)),
+    Flag::value("--telemetry", DIR, |o, v| v.get().map(|d| o.telemetry = Some(d))),
+];
+
+#[rustfmt::skip]
+const DETECT: Command<Options> = Command::new("detect", "<test>", "\
+    run a tool on one test input\n\
+    --tool waffle|basic|tsvd|noprep|no-parent-child|fixed-delay|no-interference (waffle)\n\
+    --max-runs: detection-run budget (10); --seed: attempt seed (1); --memory-model (sc)\n\
+    --attempts: repetitions summarized per §6.1 (1), over --jobs worker threads (1)\n\
+    --session: persist plan, decay and reports; --telemetry: per-attempt journals (JSON)",
+    Options::default, DETECT_FLAGS).bare();
+#[rustfmt::skip]
+const STEP: Command<Options> = Command::new("step", "<test>",
+    "one run per process, state kept in --session (required): preparation, then detection",
+    Options::default, DETECT_FLAGS.split_at(5).0).bare();
+#[rustfmt::skip]
+const SCAN: Command<Options> = Command::new("scan", "<app>",
+    "run a tool on an application's whole test suite (flags as for detect)",
+    Options::default, DETECT_FLAGS).bare();
+#[rustfmt::skip]
+const REPORT: Command<Options> = Command::new("report", "<bug-id>",
+    "expose a seeded bug and print its full report (flags as for detect)",
+    Options::default, DETECT_FLAGS).bare();
+#[rustfmt::skip]
+const LIST: Command<()> = Command::new("list", "",
+    "applications, test inputs and weak-memory scenarios", || (), &[]);
+const BUGS: Command<()> = Command::new("bugs", "", "the 18 seeded Table 4 bugs", || (), &[]);
+const DOT: Command<()> = Command::new("dot", "<test>", "render a workload as Graphviz", || (), &[]);
+const HELP: Command<()> = Command::new("help", "", "this reference", || (), &[]);
+
+/// Options of `waffle analyze`.
+#[derive(Default)]
+struct AnalyzeOptions {
+    jobs: usize,
+    seed: u64,
+    stats: bool,
+    json: bool,
+    plan_only: bool,
+    spill: Option<PathBuf>,
+    budget_mb: Option<u64>,
+    memory: MemoryModel,
+}
+
+#[rustfmt::skip]
+const ANALYZE: Command<AnalyzeOptions> = Command::new("analyze", "<test>", "\
+    preparation run + trace analysis only (--jobs 1, --seed 1); --stats adds timings\n\
+    --spill analyzes out-of-core from a segment file in DIR under --budget-mb (64)\n\
+    --plan-only prints the report a `waffle serve` session answers",
+    || AnalyzeOptions { jobs: 1, seed: 1, ..AnalyzeOptions::default() },
+    &[
+        Flag::count("--jobs", NUM, |o, v| v.get().map(|n| o.jobs = n)),
+        Flag::value("--seed", NUM, |o, v| v.get().map(|n| o.seed = n)),
+        Flag::switch("--stats", |o| o.stats = true),
+        Flag::switch("--json", |o| o.json = true),
+        Flag::switch("--plan-only", |o| o.plan_only = true),
+        Flag::value("--spill", DIRECTORY, |o, v| v.get().map(|d| o.spill = Some(d))),
+        Flag::count("--budget-mb", NUM, |o, v| v.get().map(|n| o.budget_mb = Some(n))),
+        Flag::value("--memory-model", MODEL, |o, v| v.model().map(|m| o.memory = m)),
+    ],
+);
+
+/// Options of `waffle serve`.
+struct ServeCommand {
+    socket: Option<PathBuf>,
+    dir: Option<PathBuf>,
+    /// Everything else; its socket and directory are filled in last.
+    opts: ServeOptions,
+    json: bool,
+}
+
+#[rustfmt::skip]
+const SERVE: Command<ServeCommand> = Command::new("serve", "", "\
+    streaming ingestion server; each session's report matches `analyze --plan-only`\n\
+    required: --socket, --dir; defaults: --seal-events 65536, --queue-events 262144,\n\
+    --policy block (shed drops batches on a full queue), --jobs 1, no session limit",
+    || ServeCommand { socket: None, dir: None, opts: ServeOptions::new("", ""), json: false },
+    &[
+        Flag::value("--socket", PATH, |o, v| v.get().map(|p| o.socket = Some(p))),
+        Flag::value("--dir", DIRECTORY, |o, v| v.get().map(|d| o.dir = Some(d))),
+        Flag::count("--seal-events", NUM, |o, v| v.get().map(|n| o.opts.seal_events = n)),
+        Flag::count("--queue-events", NUM, |o, v| v.get().map(|n| o.opts.queue_events = n)),
+        Flag::value("--policy", ("block|shed", "block|shed"), |o, v| {
+            o.opts.policy = match v.text {
+                "block" => QueuePolicy::Block,
+                "shed" => QueuePolicy::Shed,
+                other => return Err(format!("--policy: unknown policy {other}")),
+            };
+            Ok(())
+        }),
+        Flag::count("--jobs", NUM, |o, v| v.get().map(|n| o.opts.jobs = n)),
+        Flag::value("--max-sessions", NUM, |o, v| v.get().map(|n| o.opts.max_sessions = Some(n))),
+        Flag::switch("--json", |o| o.json = true),
+    ],
+);
+
+/// Options of `waffle ingest`.
+#[derive(Default)]
+struct IngestCommand {
+    socket: Option<PathBuf>,
+    test: Option<String>,
+    batch: usize,
+    seed: u64,
+}
+
+#[rustfmt::skip]
+const INGEST: Command<IngestCommand> = Command::new("ingest", "", "\
+    stream one test's trace to a `waffle serve` socket and print the report\n\
+    required: --socket, --test; defaults: --batch 4096 events, --seed 1",
+    || IngestCommand { batch: 4096, seed: 1, ..IngestCommand::default() },
+    &[
+        Flag::value("--socket", PATH, |o, v| v.get().map(|p| o.socket = Some(p))),
+        Flag::value("--test", ("NAME", "a test name"), |o, v| v.get().map(|t| o.test = Some(t))),
+        Flag::count("--batch", NUM, |o, v| v.get().map(|n| o.batch = n)),
+        Flag::value("--seed", NUM, |o, v| v.get().map(|n| o.seed = n)),
+    ],
+);
+
+/// Options of the subcommands whose only flag is `--json`.
+#[derive(Default)]
+struct JsonOnly {
+    json: bool,
+}
+
+const JSON_ONLY: &[Flag<JsonOnly>] = &[Flag::switch("--json", |o| o.json = true)];
+#[rustfmt::skip]
+const STATS: Command<JsonOnly> = Command::new("stats", "<dir>",
+    "aggregate a directory of saved telemetry journals", JsonOnly::default, JSON_ONLY);
+#[rustfmt::skip]
+const CAMPAIGN_STATUS: Command<JsonOnly> = Command::new("campaign status", "<dir>",
+    "per-cell state, live claims and quarantine", JsonOnly::default, JSON_ONLY);
+
+/// Options of `waffle campaign init`.
+struct CampaignInit {
+    tests: Vec<String>,
+    app: Option<String>,
+    tools: Vec<String>,
+    attempts: u32,
+    config: CampaignConfig,
+}
+
+#[rustfmt::skip]
+const CAMPAIGN_INIT: Command<CampaignInit> = Command::new("campaign init", "<dir>", "\
+    lay out a crash-safe grid: test inputs (--tests, every test of --app) × --tools\n\
+    (waffle); defaults: --attempts 5 per cell, --max-runs 50, --retries 2 before quarantine",
+    || CampaignInit {
+        tests: Vec::new(), app: None, tools: vec!["waffle".into()], attempts: 5,
+        config: CampaignConfig::default(),
+    },
+    &[
+        Flag::value("--tests", CSV, |o, v| v.list().map(|l| o.tests = l)),
+        Flag::value("--app", NAME, |o, v| v.get().map(|a| o.app = Some(a))),
+        Flag::value("--tools", CSV, |o, v| v.list().map(|l| o.tools = l)),
+        Flag::value("--attempts", NUM, |o, v| v.get().map(|n| o.attempts = n)),
+        Flag::value("--max-runs", NUM, |o, v| v.get().map(|n| o.config.max_detection_runs = n)),
+        Flag::value("--retries", NUM, |o, v| v.get().map(|n| o.config.max_retries = n)),
+    ],
+);
+
+/// Options of `waffle campaign run`.
+#[derive(Default)]
+struct CampaignRun {
+    opts: RunOptions,
+    fresh: bool,
+    json: bool,
+}
+
+#[rustfmt::skip]
+const CAMPAIGN_RUN: Command<CampaignRun> = Command::new("campaign run", "<dir>", "\
+    run the grid over --jobs workers (1), checkpointing every cell; --resume keeps the\n\
+    checkpoints, --fresh discards them; --max-cells stops after N cells",
+    CampaignRun::default,
+    &[
+        Flag::count("--jobs", NUM, |o, v| v.get().map(|n| o.opts.jobs = n)),
+        Flag::switch("--resume", |o| o.opts.resume = true),
+        Flag::switch("--fresh", |o| o.fresh = true),
+        Flag::value("--max-cells", NUM, |o, v| v.get().map(|n| o.opts.max_cells = Some(n))),
+        Flag::switch("--json", |o| o.json = true),
+    ],
+);
+
+/// Options of `waffle campaign work`.
+#[derive(Default)]
+struct CampaignWork {
+    opts: WorkOptions,
+    json: bool,
+}
+
+#[rustfmt::skip]
+const CAMPAIGN_WORK: Command<CampaignWork> = Command::new("campaign work", "<dir>", "\
+    join as one coordinator-free worker; run several to share the grid; claims older\n\
+    than --lease-secs (60) are stale; --poll-ms (50); --no-wait returns instead of\n\
+    waiting for cells that other workers hold",
+    CampaignWork::default,
+    &[
+        Flag::value("--worker", ("NAME", "a name"), |o, v| v.get().map(|w| o.opts.worker = w)),
+        Flag::value("--lease-secs", NUM, |o, v| v.get().map(|n| o.opts.lease_secs = n)),
+        Flag::value("--max-cells", NUM, |o, v| v.get().map(|n| o.opts.max_cells = Some(n))),
+        Flag::value("--poll-ms", NUM, |o, v| v.get().map(|n| o.opts.poll_ms = n)),
+        Flag::switch("--no-wait", |o| o.opts.wait = false),
+        Flag::switch("--json", |o| o.json = true),
+    ],
+);
+
+/// Options of `waffle bench`.
+#[derive(Default)]
+struct BenchCommand {
+    all: bool,
+    out: Option<PathBuf>,
+}
+
+#[rustfmt::skip]
+const BENCH: Command<BenchCommand> = Command::new("bench", "",
+    "with --all, refresh the five BENCH_*.json reports in --out (default .)",
+    BenchCommand::default,
+    &[
+        Flag::switch("--all", |o| o.all = true),
+        Flag::value("--out", DIRECTORY, |o, v| v.get().map(|d| o.out = Some(d))),
+    ],
+);
+
+/// Options of `waffle fuzz`.
+#[derive(Default)]
+struct FuzzCommand {
+    cfg: FuzzConfig,
+    corpus: Option<PathBuf>,
+    json: bool,
+}
+
+#[rustfmt::skip]
+const FUZZ: Command<FuzzCommand> = Command::new("fuzz", "", "\
+    differential fuzzing against the schedule oracle; fails on any disagreement\n\
+    defaults: --seeds 100 from --seed-base 0, --jobs 1, --preemption-bound 2, --max-runs 16\n\
+    --corpus writes minimized cases; --repair certifies a fix for every confirmed bug",
+    FuzzCommand::default,
+    &[
+        Flag::value("--seeds", NUM, |o, v| v.get().map(|n| o.cfg.seeds = n)),
+        Flag::value("--seed-base", NUM, |o, v| v.get().map(|n| o.cfg.seed_base = n)),
+        Flag::count("--jobs", NUM, |o, v| v.get().map(|n| o.cfg.jobs = n)),
+        Flag {
+            at_least_1: Some(": at bound 0 no access can be reordered, so every planted bug \
+                              is vacuously unexposable"),
+            ..Flag::count("--preemption-bound", BOUND, |o, v| v.get().map(|n| o.cfg.preemption_bound = n))
+        },
+        Flag::value("--max-runs", NUM, |o, v| v.get().map(|n| o.cfg.max_detection_runs = n)),
+        Flag::value("--corpus", DIR, |o, v| v.get().map(|d| o.corpus = Some(d))),
+        Flag::value("--memory-model", MODEL, |o, v| v.model().map(|m| o.cfg.memory = m)),
+        Flag::switch("--no-reduction", |o| o.cfg.reduction = false),
+        Flag::switch("--repair", |o| o.cfg.repair = true),
+        Flag::switch("--json", |o| o.json = true),
+    ],
+);
+
+/// Options of `waffle fix`.
+#[derive(Default)]
+struct FixCommand {
+    name: Option<String>,
+    cfg: OracleConfig,
+    seed: u64,
+    json: bool,
+}
+
+#[rustfmt::skip]
+const FIX: Command<FixCommand> = Command {
+    free: Some(|o, a| o.name.is_none() && { o.name = Some(a.to_owned()); true }),
+    ..Command::new("fix", "<test>",
+        "oracle-certified fix synthesis for one test input (--preemption-bound 2, --seed 1)",
+        || FixCommand { seed: 1, ..FixCommand::default() },
+        &[
+            Flag::value("--memory-model", MODEL, |o, v| v.model().map(|m| o.cfg.memory = m)),
+            Flag::value("--preemption-bound", BOUND, |o, v| v.get().map(|n| o.cfg.preemption_bound = n)),
+            Flag::value("--seed", NUM, |o, v| v.get().map(|n| o.seed = n)),
+            Flag::switch("--json", |o| o.json = true),
+        ],
+    )
+};
+
+/// Splits a subcommand's leading positional argument off its flags.
+fn positional<'a>(args: &'a [String], missing: &str) -> Result<(&'a str, &'a [String]), String> {
+    let (first, rest) = args.split_first().ok_or_else(|| missing.to_owned())?;
+    Ok((first, rest))
+}
+
+fn print_json(text: Result<String, serde_json::Error>) -> Result<(), String> {
+    println!("{}", text.map_err(|e| e.to_string())?);
+    Ok(())
 }
 
 fn find_test(name: &str) -> Option<Workload> {
@@ -182,6 +626,10 @@ fn find_test(name: &str) -> Option<Workload> {
         .find(|t| t.workload.name == name)
         .map(|t| t.workload)
         .or_else(|| waffle_repro::apps::weak_scenario(name).map(|s| s.workload))
+}
+
+fn test_named(name: &str) -> Result<Workload, String> {
+    find_test(name).ok_or_else(|| format!("unknown test {name}"))
 }
 
 fn detector(opts: &Options) -> Detector {
@@ -241,10 +689,7 @@ fn detect_experiment(w: &Workload, opts: &Options) -> Result<bool, String> {
         }
     }
     if opts.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?
-        );
+        print_json(serde_json::to_string_pretty(&summary))?;
     } else {
         println!(
             "{} [{}]: {}/{} attempts exposed the bug",
@@ -285,10 +730,7 @@ fn detect_one(w: &Workload, opts: &Options) -> Result<bool, String> {
         }
     }
     if opts.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&outcome).map_err(|e| e.to_string())?
-        );
+        print_json(serde_json::to_string_pretty(&outcome))?;
     } else {
         println!(
             "{} [{}]: base {}, {} runs",
@@ -323,6 +765,113 @@ fn detect_one(w: &Workload, opts: &Options) -> Result<bool, String> {
     Ok(outcome.exposed.is_some() || outcome.tsv_exposed.is_some())
 }
 
+/// `waffle step` — the real tool's process model: each invocation is one
+/// run. The first step (no plan in the session yet) is the preparation
+/// run; later steps are detection runs resuming the persisted
+/// probabilities.
+fn step_cmd(name: &str, opts: &Options) -> Result<(), String> {
+    let dir = opts.session.as_ref().ok_or("step requires --session DIR")?;
+    let session = Session::open(dir).map_err(|e| e.to_string())?;
+    let w = &test_named(name)?;
+    let det = Detector::with_config(
+        opts.tool.clone(),
+        DetectorConfig {
+            memory: MemoryConfig::from_model(opts.memory),
+            ..DetectorConfig::default()
+        },
+    );
+    let outcome = det
+        .step_with_session(w, opts.seed, &session)
+        .map_err(|e| e.to_string())?;
+    if opts.json {
+        print_json(serde_json::to_string_pretty(&outcome))?;
+    } else if outcome.prep.is_some() {
+        println!(
+            "preparation run complete; plan saved to {}",
+            session.path().display()
+        );
+    } else {
+        match &outcome.exposed {
+            Some(r) => print!("{}", r.render(&w.sites)),
+            None => println!("detection run complete; no bug this run"),
+        }
+    }
+    Ok(())
+}
+
+/// `waffle scan` — run a tool over every test input of an application.
+fn scan_cmd(app_name: &str, opts: &Options) -> Result<(), String> {
+    let app = all_apps()
+        .into_iter()
+        .find(|a| a.name == app_name)
+        .ok_or_else(|| format!("unknown app {app_name}"))?;
+    if opts.jobs > 1 {
+        // Parallel scan: one grid cell per test input, fanned over
+        // the worker pool. Attempt seeds are fixed per index, so
+        // the per-input summaries match a sequential scan.
+        let det = detector(opts);
+        let cells: Vec<GridCell> = app
+            .tests
+            .iter()
+            .map(|t| GridCell {
+                workload: t.workload.clone(),
+                detector: det.clone(),
+                attempts: opts.attempts,
+            })
+            .collect();
+        let summaries = ExperimentEngine::new(opts.jobs).run_grid(&cells);
+        let mut found = 0;
+        for s in &summaries {
+            if s.exposed_attempts > 0 || s.tsv_attempts > 0 {
+                found += 1;
+            }
+            let runs = s
+                .reported_runs()
+                .map(|r| format!(", typical exposure in {r} runs"))
+                .unwrap_or_default();
+            let tsv = if s.tsv_attempts > 0 {
+                format!(" ({} thread-safety violations)", s.tsv_attempts)
+            } else {
+                String::new()
+            };
+            println!(
+                "{} [{}]: {}/{} attempts exposed{runs}{tsv}",
+                s.workload, opts.tool_name, s.exposed_attempts, s.attempts
+            );
+        }
+        println!("{found} bug(s) exposed across {} inputs", app.tests.len());
+        return Ok(());
+    }
+    let mut found = 0;
+    for t in &app.tests {
+        if detect_one(&t.workload, opts)? {
+            found += 1;
+        }
+        println!();
+    }
+    println!("{found} bug(s) exposed across {} inputs", app.tests.len());
+    Ok(())
+}
+
+/// `waffle report` — expose one seeded bug and print its full report.
+fn report_cmd(id: u32, opts: &Options) -> Result<(), String> {
+    let spec = all_bugs()
+        .into_iter()
+        .find(|b| b.id == id)
+        .ok_or_else(|| format!("unknown bug id {id}"))?;
+    let app = all_apps()
+        .into_iter()
+        .find(|a| a.name == spec.app)
+        .ok_or_else(|| format!("Bug-{id}: unknown app {}", spec.app))?;
+    let w = app.bug_workload(id).ok_or("bug workload missing")?.clone();
+    println!(
+        "Bug-{id} ({} issue {}): {}\n",
+        spec.app, spec.issue, spec.summary
+    );
+    detect_one(&w, opts)?;
+    Ok(())
+}
+
 /// `waffle analyze` — run the delay-free preparation run, build the
 /// columnar trace index once, and run the fused analysis pipeline over it;
 /// `--stats` adds index/scan timings, size statistics and the telemetry
@@ -330,17 +879,6 @@ fn detect_one(w: &Workload, opts: &Options) -> Result<bool, String> {
 /// on-disk segment file and analyzed out-of-core under a resident-bytes
 /// budget (`--budget-mb`, default 64) — the plans are byte-identical to
 /// the in-memory path at every budget.
-struct AnalyzeOptions {
-    jobs: usize,
-    seed: u64,
-    stats: bool,
-    json: bool,
-    plan_only: bool,
-    spill: Option<PathBuf>,
-    budget_mb: Option<u64>,
-    memory: MemoryModel,
-}
-
 fn analyze_cmd(w: &Workload, opts: &AnalyzeOptions) -> Result<(), String> {
     let AnalyzeOptions {
         jobs,
@@ -487,134 +1025,18 @@ fn analyze_cmd(w: &Workload, opts: &AnalyzeOptions) -> Result<(), String> {
     Ok(())
 }
 
-/// `waffle campaign <init|run|status>` — the crash-safe, resumable
+/// `waffle campaign <init|run|work|status>` — the crash-safe, resumable
 /// campaign workflow. A campaign directory holds a fingerprinted manifest
 /// plus one atomically-written checkpoint per finished cell; `run
 /// --resume` skips checkpointed cells and the final report is
 /// byte-identical to an uninterrupted run at any `--jobs`.
 fn campaign_cmd(args: &[String]) -> Result<(), String> {
-    let sub = args
-        .first()
-        .ok_or("campaign: missing subcommand (init|run|work|status)")?;
-    let dir = args.get(1).ok_or("campaign: missing campaign directory")?;
-    let rest = &args[2..];
-    match sub.as_str() {
-        "init" => {
-            let mut tests: Vec<String> = Vec::new();
-            let mut app: Option<String> = None;
-            let mut tools: Vec<String> = vec!["waffle".into()];
-            let mut attempts: u32 = 5;
-            let mut config = CampaignConfig::default();
-            let mut it = rest.iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--tests" => {
-                        tests = it
-                            .next()
-                            .ok_or("--tests needs a comma-separated list")?
-                            .split(',')
-                            .map(str::to_owned)
-                            .collect();
-                    }
-                    "--app" => app = Some(it.next().ok_or("--app needs a value")?.clone()),
-                    "--tools" => {
-                        tools = it
-                            .next()
-                            .ok_or("--tools needs a comma-separated list")?
-                            .split(',')
-                            .map(str::to_owned)
-                            .collect();
-                    }
-                    "--attempts" => {
-                        attempts = it
-                            .next()
-                            .ok_or("--attempts needs a value")?
-                            .parse()
-                            .map_err(|e| format!("--attempts: {e}"))?;
-                    }
-                    "--max-runs" => {
-                        config.max_detection_runs = it
-                            .next()
-                            .ok_or("--max-runs needs a value")?
-                            .parse()
-                            .map_err(|e| format!("--max-runs: {e}"))?;
-                    }
-                    "--retries" => {
-                        config.max_retries = it
-                            .next()
-                            .ok_or("--retries needs a value")?
-                            .parse()
-                            .map_err(|e| format!("--retries: {e}"))?;
-                    }
-                    other => return Err(format!("campaign init: unknown option {other}")),
-                }
-            }
-            if let Some(app) = app {
-                let app = all_apps()
-                    .into_iter()
-                    .find(|a| a.name == app)
-                    .ok_or_else(|| format!("unknown app {app}"))?;
-                tests.extend(app.tests.iter().map(|t| t.workload.name.clone()));
-            }
-            if tests.is_empty() {
-                return Err("campaign init: pass --tests a,b,c and/or --app NAME".into());
-            }
-            for t in &tests {
-                if find_test(t).is_none() {
-                    return Err(format!("unknown test {t}"));
-                }
-            }
-            let cells: Vec<CellSpec> = tests
-                .iter()
-                .flat_map(|w| tools.iter().map(|t| CellSpec::new(w.clone(), t.clone(), attempts)))
-                .collect();
-            let campaign = Campaign::create(dir, config, cells).map_err(|e| e.to_string())?;
-            println!(
-                "campaign initialized: {} cells ({} inputs × {} tools, {} attempts each)",
-                campaign.manifest().cells.len(),
-                tests.len(),
-                tools.len(),
-                attempts
-            );
-            println!("manifest fingerprint {:016x}", campaign.manifest().fingerprint);
-            println!("run it with: waffle campaign run {dir}");
-            Ok(())
-        }
+    let (sub, args) = positional(args, "campaign: missing subcommand (init|run|work|status)")?;
+    let (dir, args) = positional(args, "campaign: missing campaign directory")?;
+    match sub {
+        "init" => campaign_init(dir, CAMPAIGN_INIT.parse(args)?),
         "run" => {
-            let mut opts = RunOptions {
-                jobs: 1,
-                resume: false,
-                max_cells: None,
-            };
-            let mut fresh = false;
-            let mut json = false;
-            let mut it = rest.iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--jobs" => {
-                        opts.jobs = it
-                            .next()
-                            .ok_or("--jobs needs a value")?
-                            .parse()
-                            .map_err(|e| format!("--jobs: {e}"))?;
-                        if opts.jobs == 0 {
-                            return Err("--jobs must be at least 1".into());
-                        }
-                    }
-                    "--resume" => opts.resume = true,
-                    "--fresh" => fresh = true,
-                    "--max-cells" => {
-                        opts.max_cells = Some(
-                            it.next()
-                                .ok_or("--max-cells needs a value")?
-                                .parse()
-                                .map_err(|e| format!("--max-cells: {e}"))?,
-                        );
-                    }
-                    "--json" => json = true,
-                    other => return Err(format!("campaign run: unknown option {other}")),
-                }
-            }
+            let CampaignRun { opts, fresh, json } = CAMPAIGN_RUN.parse(args)?;
             if opts.resume && fresh {
                 return Err("campaign run: --resume and --fresh are mutually exclusive".into());
             }
@@ -626,210 +1048,201 @@ fn campaign_cmd(args: &[String]) -> Result<(), String> {
                      continue where the last run stopped or --fresh to discard them"
                 ));
             }
-            let progress = campaign
-                .run(&opts, find_test)
-                .map_err(|e| e.to_string())?;
+            let progress = campaign.run(&opts, find_test).map_err(|e| e.to_string())?;
             if !json {
                 if progress.skipped > 0 {
-                    println!(
-                        "resume: skipped {} checkpointed cell(s)",
-                        progress.skipped
-                    );
+                    println!("resume: skipped {} checkpointed cell(s)", progress.skipped);
                 }
-                for (i, status) in &progress.ran {
-                    let spec = &campaign.manifest().cells[*i];
-                    println!(
-                        "cell [{i:04}] {} / {} -> {}",
-                        spec.workload,
-                        spec.tool,
-                        match status {
-                            CellStatus::Completed => "completed",
-                            CellStatus::TimedOut => "completed (TimeOut)",
-                            CellStatus::Failed => "FAILED (quarantined)",
-                        }
-                    );
-                }
+                print_cells(&campaign, &progress.ran);
             }
-            match progress.report {
-                Some(report) => {
-                    if json {
-                        println!(
-                            "{}",
-                            serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
-                        );
-                    } else {
-                        print!("{}", report.render());
-                        println!("report written to {}/report.json", dir);
-                    }
-                }
-                None => {
-                    if json {
-                        println!(
-                            "{{\"outstanding\": {}, \"ran\": {}}}",
-                            progress.outstanding,
-                            progress.ran.len()
-                        );
-                    } else {
-                        println!(
-                            "{} cell(s) still outstanding; continue with: waffle campaign run {dir} --resume",
-                            progress.outstanding
-                        );
-                    }
-                }
-            }
-            Ok(())
+            let pending = [
+                format!(
+                    "{{\"outstanding\": {}, \"ran\": {}}}",
+                    progress.outstanding,
+                    progress.ran.len()
+                ),
+                format!(
+                    "{} cell(s) still outstanding; continue with: waffle campaign run {dir} \
+                     --resume",
+                    progress.outstanding
+                ),
+            ];
+            print_report(progress.report, json, dir, pending)
         }
         "work" => {
-            let mut opts = WorkOptions::default();
-            let mut json = false;
-            let mut it = rest.iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--worker" => {
-                        opts.worker = it.next().ok_or("--worker needs a name")?.clone();
-                    }
-                    "--lease-secs" => {
-                        opts.lease_secs = it
-                            .next()
-                            .ok_or("--lease-secs needs a value")?
-                            .parse()
-                            .map_err(|e| format!("--lease-secs: {e}"))?;
-                    }
-                    "--max-cells" => {
-                        opts.max_cells = Some(
-                            it.next()
-                                .ok_or("--max-cells needs a value")?
-                                .parse()
-                                .map_err(|e| format!("--max-cells: {e}"))?,
-                        );
-                    }
-                    "--poll-ms" => {
-                        opts.poll_ms = it
-                            .next()
-                            .ok_or("--poll-ms needs a value")?
-                            .parse()
-                            .map_err(|e| format!("--poll-ms: {e}"))?;
-                    }
-                    "--no-wait" => opts.wait = false,
-                    "--json" => json = true,
-                    other => return Err(format!("campaign work: unknown option {other}")),
-                }
-            }
+            let CampaignWork { opts, json } = CAMPAIGN_WORK.parse(args)?;
             let campaign = Campaign::open(dir).map_err(|e| e.to_string())?;
             let progress = campaign.work(&opts, find_test).map_err(|e| e.to_string())?;
             if !json {
-                for (i, status) in &progress.ran {
-                    let spec = &campaign.manifest().cells[*i];
-                    println!(
-                        "cell [{i:04}] {} / {} -> {}",
-                        spec.workload,
-                        spec.tool,
-                        match status {
-                            CellStatus::Completed => "completed",
-                            CellStatus::TimedOut => "completed (TimeOut)",
-                            CellStatus::Failed => "FAILED (quarantined)",
-                        }
-                    );
-                }
+                print_cells(&campaign, &progress.ran);
                 if progress.recovered > 0 {
                     println!("recovered {} stale claim(s)", progress.recovered);
                 }
             }
-            match progress.report {
-                Some(report) => {
-                    if json {
-                        println!(
-                            "{}",
-                            serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
-                        );
-                    } else {
-                        print!("{}", report.render());
-                        println!("report written to {dir}/report.json");
-                    }
-                }
-                None => {
-                    if json {
-                        println!(
-                            "{{\"ran\": {}, \"recovered\": {}, \"outstanding\": {}}}",
-                            progress.ran.len(),
-                            progress.recovered,
-                            progress.outstanding
-                        );
-                    } else {
-                        println!(
-                            "{} cell(s) still outstanding (held by other workers or --no-wait/--max-cells)",
-                            progress.outstanding
-                        );
-                    }
-                }
-            }
-            Ok(())
+            let pending = [
+                format!(
+                    "{{\"ran\": {}, \"recovered\": {}, \"outstanding\": {}}}",
+                    progress.ran.len(),
+                    progress.recovered,
+                    progress.outstanding
+                ),
+                format!(
+                    "{} cell(s) still outstanding (held by other workers or \
+                     --no-wait/--max-cells)",
+                    progress.outstanding
+                ),
+            ];
+            print_report(progress.report, json, dir, pending)
         }
-        "status" => {
-            let json = rest.iter().any(|a| a == "--json");
-            let campaign = Campaign::open(dir).map_err(|e| e.to_string())?;
-            let status = campaign.status().map_err(|e| e.to_string())?;
-            if json {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&status).map_err(|e| e.to_string())?
-                );
-                return Ok(());
-            }
-            let mut registry = MetricsRegistry::new();
-            for (i, spec) in campaign.manifest().cells.iter().enumerate() {
-                let ckpt = campaign.checkpoint_state(i);
-                if let CheckpointState::Ready(c) = &ckpt {
-                    if let Some(s) = &c.summary {
-                        registry.absorb_summary(&spec.workload, &spec.tool, &s.telemetry);
-                    }
-                }
-                let line = &status.cells[i];
-                let state = match line.state.as_str() {
-                    "completed" => "completed".to_owned(),
-                    "timed_out" => "completed (TimeOut)".to_owned(),
-                    "failed" => format!(
-                        "FAILED (quarantined): {}",
-                        line.last_failure.as_deref().unwrap_or("no panic recorded")
-                    ),
-                    "claimed" => {
-                        let c = line.claim.as_ref().expect("claimed cells carry a claim");
-                        format!("claimed by {} (pid {}, {}s ago)", c.worker, c.pid, c.age_secs)
-                    }
-                    _ if matches!(ckpt, CheckpointState::Invalid) => {
-                        "invalid checkpoint (will re-run)".to_owned()
-                    }
-                    _ => "outstanding".to_owned(),
-                };
-                println!(
-                    "[{i:04}] {} / {} ({} attempts): {state}",
-                    spec.workload, spec.tool, spec.attempts
-                );
-            }
-            println!(
-                "{}/{} cells checkpointed ({} completed, {} timed out, {} quarantined); \
-                 {} live claim(s){}",
-                status.done,
-                status.total,
-                status.completed,
-                status.timed_out,
-                status.quarantined.len(),
-                status.claims.len(),
-                if status.report_written {
-                    "; report.json written"
-                } else {
-                    ""
-                }
-            );
-            println!(
-                "telemetry so far: {} runs, {} delays injected",
-                registry.counter("total/runs"),
-                registry.counter("total/injected"),
-            );
-            Ok(())
-        }
+        "status" => campaign_status(dir, CAMPAIGN_STATUS.parse(args)?.json),
         other => Err(format!("campaign: unknown subcommand {other}")),
     }
+}
+
+fn campaign_init(dir: &str, opts: CampaignInit) -> Result<(), String> {
+    let (mut tests, tools, attempts) = (opts.tests, opts.tools, opts.attempts);
+    if let Some(app) = opts.app {
+        let app = all_apps()
+            .into_iter()
+            .find(|a| a.name == app)
+            .ok_or_else(|| format!("unknown app {app}"))?;
+        tests.extend(app.tests.iter().map(|t| t.workload.name.clone()));
+    }
+    if tests.is_empty() {
+        return Err("campaign init: pass --tests a,b,c and/or --app NAME".into());
+    }
+    for t in &tests {
+        test_named(t)?;
+    }
+    let cells: Vec<CellSpec> = tests
+        .iter()
+        .flat_map(|w| {
+            tools
+                .iter()
+                .map(|t| CellSpec::new(w.clone(), t.clone(), attempts))
+        })
+        .collect();
+    let campaign = Campaign::create(dir, opts.config, cells).map_err(|e| e.to_string())?;
+    println!(
+        "campaign initialized: {} cells ({} inputs × {} tools, {} attempts each)",
+        campaign.manifest().cells.len(),
+        tests.len(),
+        tools.len(),
+        attempts
+    );
+    println!(
+        "manifest fingerprint {:016x}",
+        campaign.manifest().fingerprint
+    );
+    println!("run it with: waffle campaign run {dir}");
+    Ok(())
+}
+
+/// How a finished cell is labelled by `campaign run`, `work` and `status`.
+fn cell_label(status: CellStatus) -> &'static str {
+    match status {
+        CellStatus::Completed => "completed",
+        CellStatus::TimedOut => "completed (TimeOut)",
+        CellStatus::Failed => "FAILED (quarantined)",
+    }
+}
+
+/// Prints the cells one `campaign run` or `work` invocation executed.
+fn print_cells(campaign: &Campaign, ran: &[(usize, CellStatus)]) {
+    for &(i, status) in ran {
+        let spec = &campaign.manifest().cells[i];
+        println!(
+            "cell [{i:04}] {} / {} -> {}",
+            spec.workload,
+            spec.tool,
+            cell_label(status)
+        );
+    }
+}
+
+/// Prints the campaign report once every cell is checkpointed, or else
+/// what is still outstanding (`pending` holds the JSON, then the text).
+fn print_report(
+    report: Option<CampaignReport>,
+    json: bool,
+    dir: &str,
+    [pending_json, pending_text]: [String; 2],
+) -> Result<(), String> {
+    match report {
+        Some(report) if json => print_json(serde_json::to_string_pretty(&report))?,
+        Some(report) => {
+            print!("{}", report.render());
+            println!("report written to {dir}/report.json");
+        }
+        None if json => println!("{pending_json}"),
+        None => println!("{pending_text}"),
+    }
+    Ok(())
+}
+
+fn campaign_status(dir: &str, json: bool) -> Result<(), String> {
+    let campaign = Campaign::open(dir).map_err(|e| e.to_string())?;
+    let status = campaign.status().map_err(|e| e.to_string())?;
+    if json {
+        return print_json(serde_json::to_string_pretty(&status));
+    }
+    let mut registry = MetricsRegistry::new();
+    for (i, spec) in campaign.manifest().cells.iter().enumerate() {
+        let ckpt = campaign.checkpoint_state(i);
+        if let CheckpointState::Ready(c) = &ckpt {
+            if let Some(s) = &c.summary {
+                registry.absorb_summary(&spec.workload, &spec.tool, &s.telemetry);
+            }
+        }
+        let line = &status.cells[i];
+        let state = match line.state.as_str() {
+            "completed" => cell_label(CellStatus::Completed).to_owned(),
+            "timed_out" => cell_label(CellStatus::TimedOut).to_owned(),
+            "failed" => format!(
+                "{}: {}",
+                cell_label(CellStatus::Failed),
+                line.last_failure.as_deref().unwrap_or("no panic recorded")
+            ),
+            "claimed" => {
+                let c = line.claim.as_ref().ok_or_else(|| {
+                    format!("campaign status: cell {i} is claimed but its claim is missing")
+                })?;
+                format!(
+                    "claimed by {} (pid {}, {}s ago)",
+                    c.worker, c.pid, c.age_secs
+                )
+            }
+            _ if matches!(ckpt, CheckpointState::Invalid) => {
+                "invalid checkpoint (will re-run)".to_owned()
+            }
+            _ => "outstanding".to_owned(),
+        };
+        println!(
+            "[{i:04}] {} / {} ({} attempts): {state}",
+            spec.workload, spec.tool, spec.attempts
+        );
+    }
+    println!(
+        "{}/{} cells checkpointed ({} completed, {} timed out, {} quarantined); \
+         {} live claim(s){}",
+        status.done,
+        status.total,
+        status.completed,
+        status.timed_out,
+        status.quarantined.len(),
+        status.claims.len(),
+        if status.report_written {
+            "; report.json written"
+        } else {
+            ""
+        }
+    );
+    println!(
+        "telemetry so far: {} runs, {} delays injected",
+        registry.counter("total/runs"),
+        registry.counter("total/injected"),
+    );
+    Ok(())
 }
 
 /// `waffle fuzz` — run a block of generated workloads through the bounded
@@ -837,73 +1250,10 @@ fn campaign_cmd(args: &[String]) -> Result<(), String> {
 /// exit) on any ground-truth disagreement. With `--corpus DIR`, each
 /// disagreeing workload is delta-debugged to a minimal op sequence and
 /// persisted as a replayable corpus case.
-fn fuzz_cmd(args: &[String]) -> Result<(), String> {
-    use waffle_repro::fuzz::{classify_case, run_fuzz, shrink_case, CorpusCase, FuzzCase, FuzzConfig};
+fn fuzz_cmd(opts: FuzzCommand) -> Result<(), String> {
+    use waffle_repro::fuzz::{classify_case, run_fuzz, shrink_case, CorpusCase, FuzzCase};
 
-    let mut cfg = FuzzConfig::default();
-    let mut corpus: Option<PathBuf> = None;
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seeds" => {
-                cfg.seeds = it
-                    .next()
-                    .ok_or("--seeds needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--seeds: {e}"))?;
-            }
-            "--seed-base" => {
-                cfg.seed_base = it
-                    .next()
-                    .ok_or("--seed-base needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--seed-base: {e}"))?;
-            }
-            "--jobs" => {
-                cfg.jobs = it
-                    .next()
-                    .ok_or("--jobs needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?;
-                if cfg.jobs == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-            }
-            "--preemption-bound" => {
-                cfg.preemption_bound = it
-                    .next()
-                    .ok_or("--preemption-bound needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--preemption-bound: {e}"))?;
-                if cfg.preemption_bound == 0 {
-                    return Err(
-                        "--preemption-bound must be at least 1: at bound 0 no access can be \
-                         reordered, so every planted bug is vacuously unexposable"
-                            .into(),
-                    );
-                }
-            }
-            "--max-runs" => {
-                cfg.max_detection_runs = it
-                    .next()
-                    .ok_or("--max-runs needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--max-runs: {e}"))?;
-            }
-            "--corpus" => {
-                corpus = Some(PathBuf::from(it.next().ok_or("--corpus needs a value")?));
-            }
-            "--memory-model" => {
-                cfg.memory = parse_memory_model(it.next().ok_or("--memory-model needs a value")?)?;
-            }
-            "--no-reduction" => cfg.reduction = false,
-            "--repair" => cfg.repair = true,
-            "--json" => json = true,
-            other => return Err(format!("fuzz: unknown option {other}")),
-        }
-    }
-
+    let FuzzCommand { cfg, corpus, json } = opts;
     let report = run_fuzz(&cfg);
 
     if let Some(dir) = &corpus {
@@ -953,7 +1303,7 @@ fn fuzz_cmd(args: &[String]) -> Result<(), String> {
     }
 
     if json {
-        println!("{}", report.to_json().map_err(|e| e.to_string())?);
+        print_json(report.to_json())?;
     } else {
         print!("{}", report.render());
     }
@@ -975,44 +1325,12 @@ fn fuzz_cmd(args: &[String]) -> Result<(), String> {
 /// no exposable bug within the bound needs no repair; a confirmed bug
 /// whose fix lies outside the grammar is reported unrepairable rather
 /// than patched with an uncertified guess.
-fn fix_cmd(args: &[String]) -> Result<(), String> {
-    use waffle_repro::fuzz::{
-        derive_plan, explore, synthesize_with_oracle, OracleConfig, OracleVerdict,
-    };
+fn fix_cmd(opts: FixCommand) -> Result<(), String> {
+    use waffle_repro::fuzz::{derive_plan, explore, synthesize_with_oracle, OracleVerdict};
 
-    let mut name: Option<String> = None;
-    let mut cfg = OracleConfig::default();
-    let mut seed: u64 = 1;
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--memory-model" => {
-                cfg.memory = parse_memory_model(it.next().ok_or("--memory-model needs a value")?)?;
-            }
-            "--preemption-bound" => {
-                cfg.preemption_bound = it
-                    .next()
-                    .ok_or("--preemption-bound needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--preemption-bound: {e}"))?;
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--json" => json = true,
-            other if name.is_none() && !other.starts_with("--") => {
-                name = Some(other.to_owned());
-            }
-            other => return Err(format!("fix: unknown option {other}")),
-        }
-    }
-    let name = name.ok_or("fix: missing test name")?;
-    let w = find_test(&name).ok_or_else(|| format!("unknown test {name}"))?;
+    let (cfg, json) = (opts.cfg, opts.json);
+    let name = opts.name.ok_or("fix: missing test name")?;
+    let w = test_named(&name)?;
 
     let oracle = explore(&w, &cfg);
     let (kind, obj) = match oracle.verdict {
@@ -1036,13 +1354,10 @@ fn fix_cmd(args: &[String]) -> Result<(), String> {
             ));
         }
     };
-    let plan = derive_plan(&w, seed, cfg.memory);
+    let plan = derive_plan(&w, opts.seed, cfg.memory);
     let report = synthesize_with_oracle(&w, &plan, kind, obj, &cfg);
     if json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?
-        );
+        print_json(serde_json::to_string_pretty(&report))?;
     } else {
         print!("{}", report.render());
     }
@@ -1056,27 +1371,19 @@ fn fix_cmd(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// `waffle bench --all [--out DIR]` — refresh the committed throughput
-/// reports by shelling out to the three `waffle-bench` rate harnesses
-/// (`engine_rate`, `analysis_rate`, `scale`), steering each one's output
-/// into `DIR` (default: the current directory) via its `WAFFLE_BENCH_*`
-/// environment variable. The scale harness defaults to a 10M-event trace;
-/// set `WAFFLE_SCALE_EVENTS` to shrink it for smoke runs.
-fn bench_cmd(args: &[String]) -> Result<(), String> {
-    let mut all = false;
-    let mut out = PathBuf::from(".");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--all" => all = true,
-            "--out" => out = PathBuf::from(it.next().ok_or("--out needs a directory")?),
-            other => return Err(format!("bench: unknown option {other}")),
-        }
-    }
+/// `waffle bench --all [--out DIR]` — refresh the five committed
+/// `BENCH_*.json` reports by shelling out to the `waffle-bench` harnesses
+/// (`engine_rate`, `analysis_rate`, `scale`, `serve`, `oracle`), steering
+/// each one's output into `DIR` (default: the current directory) via its
+/// `WAFFLE_BENCH_*` environment variable. The scale harness defaults to a
+/// 10M-event trace; set `WAFFLE_SCALE_EVENTS` to shrink it for smoke runs.
+fn bench_cmd(opts: BenchCommand) -> Result<(), String> {
+    let out = opts.out.unwrap_or_else(|| PathBuf::from("."));
+    let all = opts.all;
     if !all {
         return Err(
-            "bench: pass --all to refresh BENCH_core.json, BENCH_analysis.json and \
-             BENCH_scale.json (optionally --out DIR)"
+            "bench: pass --all to refresh BENCH_core.json, BENCH_analysis.json, \
+             BENCH_scale.json, BENCH_serve.json and BENCH_oracle.json (optionally --out DIR)"
                 .into(),
         );
     }
@@ -1113,84 +1420,10 @@ fn bench_cmd(args: &[String]) -> Result<(), String> {
 /// provide backpressure: `--policy block` (default) throttles the client
 /// through socket flow control, `--policy shed` drops event batches under
 /// overload and counts them.
-fn serve_cmd(args: &[String]) -> Result<(), String> {
-    use waffle_repro::core::{serve, QueuePolicy, ServeOptions};
-    let mut socket: Option<PathBuf> = None;
-    let mut dir: Option<PathBuf> = None;
-    let mut json = false;
-    let mut it = args.iter();
-    let mut seal_events: Option<usize> = None;
-    let mut queue_events: Option<usize> = None;
-    let mut policy = QueuePolicy::Block;
-    let mut jobs = 1usize;
-    let mut max_sessions: Option<usize> = None;
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--socket" => socket = Some(PathBuf::from(it.next().ok_or("--socket needs a path")?)),
-            "--dir" => dir = Some(PathBuf::from(it.next().ok_or("--dir needs a directory")?)),
-            "--seal-events" => {
-                let n: usize = it
-                    .next()
-                    .ok_or("--seal-events needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--seal-events: {e}"))?;
-                if n == 0 {
-                    return Err("--seal-events must be at least 1".into());
-                }
-                seal_events = Some(n);
-            }
-            "--queue-events" => {
-                let n: usize = it
-                    .next()
-                    .ok_or("--queue-events needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--queue-events: {e}"))?;
-                if n == 0 {
-                    return Err("--queue-events must be at least 1".into());
-                }
-                queue_events = Some(n);
-            }
-            "--policy" => {
-                policy = match it.next().ok_or("--policy needs block|shed")?.as_str() {
-                    "block" => QueuePolicy::Block,
-                    "shed" => QueuePolicy::Shed,
-                    other => return Err(format!("--policy: unknown policy {other}")),
-                };
-            }
-            "--jobs" => {
-                jobs = it
-                    .next()
-                    .ok_or("--jobs needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?;
-                if jobs == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-            }
-            "--max-sessions" => {
-                max_sessions = Some(
-                    it.next()
-                        .ok_or("--max-sessions needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--max-sessions: {e}"))?,
-                );
-            }
-            "--json" => json = true,
-            other => return Err(format!("serve: unknown option {other}")),
-        }
-    }
-    let socket = socket.ok_or("serve: --socket PATH is required")?;
-    let dir = dir.ok_or("serve: --dir DIR is required")?;
-    let mut opts = ServeOptions::new(socket, dir);
-    if let Some(n) = seal_events {
-        opts.seal_events = n;
-    }
-    if let Some(n) = queue_events {
-        opts.queue_events = n;
-    }
-    opts.policy = policy;
-    opts.jobs = jobs;
-    opts.max_sessions = max_sessions;
+fn serve_cmd(cmd: ServeCommand) -> Result<(), String> {
+    let (mut opts, json) = (cmd.opts, cmd.json);
+    opts.socket = cmd.socket.ok_or("serve: --socket PATH is required")?;
+    opts.dir = cmd.dir.ok_or("serve: --dir DIR is required")?;
     if !json {
         println!(
             "serve: listening on {} (reports under {})",
@@ -1198,12 +1431,9 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
             opts.dir.display()
         );
     }
-    let report = serve(&opts).map_err(|e| e.to_string())?;
+    let report = waffle_repro::core::serve(&opts).map_err(|e| e.to_string())?;
     if json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&report.metrics).map_err(|e| e.to_string())?
-        );
+        print_json(serde_json::to_string_pretty(&report.metrics))?;
     } else {
         println!("serve: {} session(s) handled", report.sessions);
         for (name, value) in report.metrics.counters() {
@@ -1217,46 +1447,17 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
 /// records the test's preparation-run trace, streams it to a running
 /// `waffle serve` as one session (Events frames of `--batch` events), and
 /// prints the server's report JSON.
-fn ingest_cmd(args: &[String]) -> Result<(), String> {
+fn ingest_cmd(opts: IngestCommand) -> Result<(), String> {
     use waffle_repro::core::replay_trace;
     use waffle_repro::sim::{SimConfig, Simulator};
     use waffle_repro::trace::TraceRecorder;
-    let mut socket: Option<PathBuf> = None;
-    let mut test: Option<String> = None;
-    let mut batch = 4096usize;
-    let mut seed = 1u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--socket" => socket = Some(PathBuf::from(it.next().ok_or("--socket needs a path")?)),
-            "--test" => test = Some(it.next().ok_or("--test needs a test name")?.clone()),
-            "--batch" => {
-                batch = it
-                    .next()
-                    .ok_or("--batch needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--batch: {e}"))?;
-                if batch == 0 {
-                    return Err("--batch must be at least 1".into());
-                }
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            other => return Err(format!("ingest: unknown option {other}")),
-        }
-    }
-    let socket = socket.ok_or("ingest: --socket PATH is required")?;
-    let name = test.ok_or("ingest: --test NAME is required")?;
-    let w = find_test(&name).ok_or_else(|| format!("unknown test {name}"))?;
+    let socket = opts.socket.ok_or("ingest: --socket PATH is required")?;
+    let name = opts.test.ok_or("ingest: --test NAME is required")?;
+    let w = test_named(&name)?;
     let mut rec = TraceRecorder::new(&w);
-    let _ = Simulator::run(&w, SimConfig::with_seed(seed), &mut rec);
+    let _ = Simulator::run(&w, SimConfig::with_seed(opts.seed), &mut rec);
     let trace = rec.into_trace();
-    let json = replay_trace(&socket, &trace, batch).map_err(|e| e.to_string())?;
+    let json = replay_trace(&socket, &trace, opts.batch).map_err(|e| e.to_string())?;
     println!("{json}");
     // A report carrying a "shed" member means the server (under
     // --policy shed) dropped some of this session's Events batches; the
@@ -1267,353 +1468,138 @@ fn ingest_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+fn list_cmd() {
+    for app in all_apps() {
+        println!("{} ({} tests)", app.name, app.tests.len());
+        for t in &app.tests {
+            let tag = match t.seeded_bug {
+                Some(id) => format!("  [Bug-{id}]"),
+                None => String::new(),
+            };
+            println!("  {}{}", t.workload.name, tag);
+        }
+    }
+    println!("weak-memory scenarios (run with --memory-model):");
+    for s in waffle_repro::apps::weak_scenarios() {
+        let tag = match s.expected {
+            Some(k) => format!("  [{} under {}]", k.label(), s.model),
+            None => "  [control]".into(),
+        };
+        println!("  {}{}", s.name, tag);
+    }
+}
+
+fn bugs_cmd() {
+    for b in all_bugs() {
+        println!(
+            "Bug-{:<3} {:<20} issue {:<6} {:<8} {}",
+            b.id,
+            b.app,
+            b.issue,
+            if b.known { "known" } else { "unknown" },
+            b.summary
+        );
+    }
+}
+
+/// `waffle stats <dir>` — aggregate a directory of telemetry journals.
+fn stats_cmd(dir: &str, json: bool) -> Result<(), String> {
+    let mut names: Vec<PathBuf> = std::fs::read_dir(dir)
+        .map_err(|e| format!("{dir}: {e}"))?
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    if names.is_empty() {
+        return Err(format!("{dir}: no .json telemetry journals found"));
+    }
+    // Sorted paths + commutative counters: the aggregate does not
+    // depend on directory iteration order.
+    names.sort();
+    let mut registry = MetricsRegistry::new();
+    for path in &names {
+        let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+        let attempt =
+            AttemptJournal::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+        registry.absorb_attempt(&attempt);
+    }
+    if json {
+        return print_json(serde_json::to_string_pretty(&registry));
+    }
+    println!("{} journal(s) aggregated\n", names.len());
+    for (name, value) in registry.counters() {
+        println!("{name:<50} {value}");
+    }
+    if let Some(h) = registry.histogram("total/delay") {
+        if !h.is_empty() {
+            println!("\ninjected delay lengths (log2 µs buckets):");
+            for (lo, hi, n) in h.nonzero_buckets() {
+                println!("  [{lo:>9}µs, {hi:>9}µs)  {n}");
+            }
+            println!(
+                "  count {}, mean {:.1}µs, max {}µs",
+                h.count(),
+                h.mean_us(),
+                h.max_us()
+            );
+        }
+    }
+    Ok(())
+}
+
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        return Err("usage: waffle <list|bugs|detect|scan|report|campaign> …".into());
+    let Some((cmd, args)) = args.split_first() else {
+        return Err(usage());
     };
     match cmd.as_str() {
         "help" | "--help" | "-h" => {
-            println!("waffle — active delay injection for MemOrder bugs\n");
-            println!("commands:");
-            println!("  list                        applications and test inputs");
-            println!("  bugs                        the 18 seeded Table 4 bugs");
-            println!("  analyze <test> [--jobs N] [--seed N] [--stats] [--json] [--plan-only]");
-            println!("          [--spill DIR [--budget-mb N]]");
-            println!("                              preparation run + trace analysis only;");
-            println!("                              --spill analyzes out-of-core from an on-disk");
-            println!("                              segment file under a resident-bytes budget;");
-            println!("                              --plan-only prints the serve-session report");
-            println!("  serve --socket PATH --dir DIR [--seal-events N] [--queue-events N]");
-            println!("        [--policy block|shed] [--jobs N] [--max-sessions N] [--json]");
-            println!("                              streaming ingestion server: sessions stream");
-            println!("                              trace events, reports match batch analyze");
-            println!("  ingest --socket PATH --test NAME [--batch N] [--seed N]");
-            println!("                              stream one test's trace to a serve socket");
-            println!("  detect <test> [options]     run a tool on one test input");
-            println!("  step <test> --session DIR   one process-step of the workflow");
-            println!("  scan <app> [options]        run a tool on an app's whole suite");
-            println!("  report <bug-id> [options]   expose a seeded bug, full report");
-            println!("  stats <dir> [--json]        aggregate saved telemetry journals");
-            println!("  campaign init DIR [--tests a,b|--app NAME] [--tools t1,t2]");
-            println!("                    [--attempts N] [--max-runs N] [--retries N]");
-            println!("  campaign run DIR [--jobs N] [--resume|--fresh] [--max-cells N] [--json]");
-            println!("  campaign work DIR [--worker NAME] [--lease-secs N] [--max-cells N]");
-            println!("                    [--poll-ms N] [--no-wait] [--json]");
-            println!("                              join DIR as one coordinator-free worker;");
-            println!("                              run several processes to share the grid");
-            println!("  campaign status DIR [--json]");
-            println!("                              per-cell state, live claims, quarantine");
-            println!("  bench --all [--out DIR]     refresh the BENCH_*.json throughput reports");
-            println!("  fuzz [--seeds N] [--seed-base N] [--jobs N] [--preemption-bound K]");
-            println!("       [--max-runs N] [--corpus DIR] [--memory-model sc|tso|pso]");
-            println!("       [--no-reduction] [--json]");
-            println!("                              generated workloads vs the schedule oracle;");
-            println!("                              non-zero exit on any disagreement");
-            println!("\noptions:");
-            println!("  --tool waffle|basic|noprep|no-parent-child|fixed-delay|no-interference");
-            println!("  --max-runs N     detection-run budget (default 10)");
-            println!("  --seed N         attempt seed (default 1)");
-            println!("  --attempts N     repetition attempts, summarized (default 1)");
-            println!("  --jobs N         worker threads for --attempts/scan (default 1)");
-            println!("  --session DIR    persist plan/decay/reports");
-            println!("  --telemetry DIR  write per-attempt telemetry journals (JSON)");
-            println!("  --memory-model sc|tso|pso");
-            println!("                   simulated consistency model (default sc); tso/pso put");
-            println!("                   a store buffer under every thread and let injected");
-            println!("                   delays stretch store drains (detect/step/analyze/fuzz)");
-            println!("  --json           machine-readable output");
+            print!("{}", help());
             Ok(())
         }
-        "list" => {
-            for app in all_apps() {
-                println!("{} ({} tests)", app.name, app.tests.len());
-                for t in &app.tests {
-                    let tag = match t.seeded_bug {
-                        Some(id) => format!("  [Bug-{id}]"),
-                        None => String::new(),
-                    };
-                    println!("  {}{}", t.workload.name, tag);
-                }
-            }
-            println!("weak-memory scenarios (run with --memory-model):");
-            for s in waffle_repro::apps::weak_scenarios() {
-                let tag = match s.expected {
-                    Some(k) => format!("  [{} under {}]", k.label(), s.model),
-                    None => "  [control]".into(),
-                };
-                println!("  {}{}", s.name, tag);
-            }
-            Ok(())
-        }
-        "bugs" => {
-            for b in all_bugs() {
-                println!(
-                    "Bug-{:<3} {:<20} issue {:<6} {:<8} {}",
-                    b.id,
-                    b.app,
-                    b.issue,
-                    if b.known { "known" } else { "unknown" },
-                    b.summary
-                );
-            }
-            Ok(())
-        }
+        "list" => LIST.parse(args).map(|()| list_cmd()),
+        "bugs" => BUGS.parse(args).map(|()| bugs_cmd()),
         "analyze" => {
-            let name = args.get(1).ok_or("analyze: missing test name")?;
-            let mut jobs = 1usize;
-            let mut seed = 1u64;
-            let mut stats = false;
-            let mut json = false;
-            let mut plan_only = false;
-            let mut spill: Option<PathBuf> = None;
-            let mut budget_mb: Option<u64> = None;
-            let mut memory = MemoryModel::Sc;
-            let mut it = args[2..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--jobs" => {
-                        jobs = it
-                            .next()
-                            .ok_or("--jobs needs a value")?
-                            .parse()
-                            .map_err(|e| format!("--jobs: {e}"))?;
-                        if jobs == 0 {
-                            return Err("--jobs must be at least 1".into());
-                        }
-                    }
-                    "--seed" => {
-                        seed = it
-                            .next()
-                            .ok_or("--seed needs a value")?
-                            .parse()
-                            .map_err(|e| format!("--seed: {e}"))?;
-                    }
-                    "--stats" => stats = true,
-                    "--json" => json = true,
-                    "--plan-only" => plan_only = true,
-                    "--spill" => {
-                        spill = Some(PathBuf::from(it.next().ok_or("--spill needs a directory")?));
-                    }
-                    "--budget-mb" => {
-                        let mb: u64 = it
-                            .next()
-                            .ok_or("--budget-mb needs a value")?
-                            .parse()
-                            .map_err(|e| format!("--budget-mb: {e}"))?;
-                        if mb == 0 {
-                            return Err("--budget-mb must be at least 1".into());
-                        }
-                        budget_mb = Some(mb);
-                    }
-                    "--memory-model" => {
-                        memory = parse_memory_model(
-                            it.next().ok_or("--memory-model needs a value")?,
-                        )?;
-                    }
-                    other => return Err(format!("analyze: unknown option {other}")),
-                }
-            }
-            if budget_mb.is_some() && spill.is_none() {
+            let (name, args) = positional(args, "analyze: missing test name")?;
+            let opts = ANALYZE.parse(args)?;
+            if opts.budget_mb.is_some() && opts.spill.is_none() {
                 return Err("analyze: --budget-mb only applies with --spill DIR".into());
             }
-            let w = find_test(name).ok_or_else(|| format!("unknown test {name}"))?;
-            analyze_cmd(
-                &w,
-                &AnalyzeOptions {
-                    jobs,
-                    seed,
-                    stats,
-                    json,
-                    plan_only,
-                    spill,
-                    budget_mb,
-                    memory,
-                },
-            )
+            analyze_cmd(&test_named(name)?, &opts)
         }
-        "serve" => serve_cmd(&args[1..]),
-        "ingest" => ingest_cmd(&args[1..]),
+        "serve" => serve_cmd(SERVE.parse(args)?),
+        "ingest" => ingest_cmd(INGEST.parse(args)?),
         "detect" => {
-            let name = args.get(1).ok_or("detect: missing test name")?;
-            let opts = parse_options(&args[2..])?;
-            let w = find_test(name).ok_or_else(|| format!("unknown test {name}"))?;
-            detect_one(&w, &opts)?;
-            Ok(())
+            let (name, args) = positional(args, "detect: missing test name")?;
+            let opts = DETECT.parse(args)?;
+            detect_one(&test_named(name)?, &opts).map(drop)
         }
         "step" => {
-            // The real tool's process model: each invocation is one run.
-            // The first step (no plan in the session yet) is the
-            // preparation run; later steps are detection runs resuming the
-            // persisted probabilities.
-            let name = args.get(1).ok_or("step: missing test name")?;
-            let opts = parse_options(&args[2..])?;
-            let dir = opts
-                .session
-                .clone()
-                .ok_or("step requires --session DIR")?;
-            let session = Session::open(dir).map_err(|e| e.to_string())?;
-            let w = find_test(name).ok_or_else(|| format!("unknown test {name}"))?;
-            let det = Detector::with_config(
-                opts.tool.clone(),
-                DetectorConfig {
-                    memory: MemoryConfig::from_model(opts.memory),
-                    ..DetectorConfig::default()
-                },
-            );
-            let outcome = det
-                .step_with_session(&w, opts.seed, &session)
-                .map_err(|e| e.to_string())?;
-            if opts.json {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&outcome).map_err(|e| e.to_string())?
-                );
-            } else if outcome.prep.is_some() {
-                println!(
-                    "preparation run complete; plan saved to {}",
-                    session.path().display()
-                );
-            } else {
-                match &outcome.exposed {
-                    Some(r) => print!("{}", r.render(&w.sites)),
-                    None => println!("detection run complete; no bug this run"),
-                }
-            }
-            Ok(())
+            let (name, args) = positional(args, "step: missing test name")?;
+            step_cmd(name, &STEP.parse(args)?)
         }
         "dot" => {
-            let name = args.get(1).ok_or("dot: missing test name")?;
-            let w = find_test(name).ok_or_else(|| format!("unknown test {name}"))?;
-            print!("{}", waffle_repro::sim::dot::to_dot(&w));
+            let (name, args) = positional(args, "dot: missing test name")?;
+            DOT.parse(args)?;
+            print!("{}", waffle_repro::sim::dot::to_dot(&test_named(name)?));
             Ok(())
         }
         "stats" => {
-            let dir = args.get(1).ok_or("stats: missing journal directory")?;
-            let json = args.iter().any(|a| a == "--json");
-            let mut names: Vec<PathBuf> = std::fs::read_dir(dir)
-                .map_err(|e| format!("{dir}: {e}"))?
-                .filter_map(Result::ok)
-                .map(|e| e.path())
-                .filter(|p| p.extension().is_some_and(|x| x == "json"))
-                .collect();
-            if names.is_empty() {
-                return Err(format!("{dir}: no .json telemetry journals found"));
-            }
-            // Sorted paths + commutative counters: the aggregate does not
-            // depend on directory iteration order.
-            names.sort();
-            let mut registry = MetricsRegistry::new();
-            for path in &names {
-                let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-                let attempt = AttemptJournal::from_json(&text)
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
-                registry.absorb_attempt(&attempt);
-            }
-            if json {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&registry).map_err(|e| e.to_string())?
-                );
-                return Ok(());
-            }
-            println!("{} journal(s) aggregated\n", names.len());
-            for (name, value) in registry.counters() {
-                println!("{name:<50} {value}");
-            }
-            if let Some(h) = registry.histogram("total/delay") {
-                if !h.is_empty() {
-                    println!("\ninjected delay lengths (log2 µs buckets):");
-                    for (lo, hi, n) in h.nonzero_buckets() {
-                        println!("  [{lo:>9}µs, {hi:>9}µs)  {n}");
-                    }
-                    println!(
-                        "  count {}, mean {:.1}µs, max {}µs",
-                        h.count(),
-                        h.mean_us(),
-                        h.max_us()
-                    );
-                }
-            }
-            Ok(())
+            let (dir, args) = positional(args, "stats: missing journal directory")?;
+            stats_cmd(dir, STATS.parse(args)?.json)
         }
-        "campaign" => campaign_cmd(&args[1..]),
-        "bench" => bench_cmd(&args[1..]),
-        "fuzz" => fuzz_cmd(&args[1..]),
-        "fix" => fix_cmd(&args[1..]),
+        "campaign" => campaign_cmd(args),
+        "bench" => bench_cmd(BENCH.parse(args)?),
+        "fuzz" => fuzz_cmd(FUZZ.parse(args)?),
+        "fix" => fix_cmd(FIX.parse(args)?),
         "scan" => {
-            let name = args.get(1).ok_or("scan: missing app name")?;
-            let opts = parse_options(&args[2..])?;
-            let app = all_apps()
-                .into_iter()
-                .find(|a| a.name == *name)
-                .ok_or_else(|| format!("unknown app {name}"))?;
-            if opts.jobs > 1 {
-                // Parallel scan: one grid cell per test input, fanned over
-                // the worker pool. Attempt seeds are fixed per index, so
-                // the per-input summaries match a sequential scan.
-                let det = detector(&opts);
-                let cells: Vec<GridCell> = app
-                    .tests
-                    .iter()
-                    .map(|t| GridCell {
-                        workload: t.workload.clone(),
-                        detector: det.clone(),
-                        attempts: opts.attempts,
-                    })
-                    .collect();
-                let summaries = ExperimentEngine::new(opts.jobs).run_grid(&cells);
-                let mut found = 0;
-                for s in &summaries {
-                    if s.exposed_attempts > 0 || s.tsv_attempts > 0 {
-                        found += 1;
-                    }
-                    let runs = s
-                        .reported_runs()
-                        .map(|r| format!(", typical exposure in {r} runs"))
-                        .unwrap_or_default();
-                    let tsv = if s.tsv_attempts > 0 {
-                        format!(" ({} thread-safety violations)", s.tsv_attempts)
-                    } else {
-                        String::new()
-                    };
-                    println!(
-                        "{} [{}]: {}/{} attempts exposed{runs}{tsv}",
-                        s.workload, opts.tool_name, s.exposed_attempts, s.attempts
-                    );
-                }
-                println!("{found} bug(s) exposed across {} inputs", app.tests.len());
-                return Ok(());
-            }
-            let mut found = 0;
-            for t in &app.tests {
-                if detect_one(&t.workload, &opts)? {
-                    found += 1;
-                }
-                println!();
-            }
-            println!("{found} bug(s) exposed across {} inputs", app.tests.len());
-            Ok(())
+            let (name, args) = positional(args, "scan: missing app name")?;
+            scan_cmd(name, &SCAN.parse(args)?)
         }
         "report" => {
-            let id: u32 = args
-                .get(1)
-                .ok_or("report: missing bug id")?
-                .parse()
-                .map_err(|e| format!("bug id: {e}"))?;
-            let opts = parse_options(&args[2..])?;
-            let spec = all_bugs()
-                .into_iter()
-                .find(|b| b.id == id)
-                .ok_or_else(|| format!("unknown bug id {id}"))?;
-            let app = all_apps().into_iter().find(|a| a.name == spec.app).unwrap();
-            let w = app
-                .bug_workload(id)
-                .ok_or("bug workload missing")?
-                .clone();
-            println!("Bug-{id} ({} issue {}): {}\n", spec.app, spec.issue, spec.summary);
-            detect_one(&w, &opts)?;
-            Ok(())
+            let (id, args) = positional(args, "report: missing bug id")?;
+            let id: u32 = id.parse().map_err(|e| format!("bug id: {e}"))?;
+            report_cmd(id, &REPORT.parse(args)?)
         }
         other => Err(format!("unknown command {other}")),
     }
