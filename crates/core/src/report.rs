@@ -1,6 +1,5 @@
 //! Bug reports and detection outcomes.
 
-use serde::value::Value;
 use serde::{Deserialize, Serialize};
 use waffle_mem::{NullRefKind, ObjectId};
 use waffle_sim::{MemoryModel, RunResult, SimTime, ThreadContext};
@@ -8,7 +7,7 @@ use waffle_telemetry::RunJournal;
 
 /// A confirmed MemOrder bug, reported only after it manifested under
 /// injected delays (zero false positives by construction, §6.4).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BugReport {
     /// Workload (test input) that exposed the bug.
     pub workload: String,
@@ -35,68 +34,8 @@ pub struct BugReport {
     /// Memory model the detection runs simulated. Provenance: a `tso`/
     /// `pso` report is only reproducible under that model. Omitted from
     /// JSON under `Sc` so pre-weak-memory reports keep their bytes.
+    #[serde(default, skip_serializing_if = "MemoryModel::is_sc")]
     pub memory_model: MemoryModel,
-}
-
-// Hand-written (de)serialization: the vendored `serde_derive` has no
-// `#[serde(...)]` helper attributes, and `memory_model` must be absent
-// from `Sc` reports (byte-identity with historical report files) yet
-// default to `Sc` when reading such a report back.
-impl Serialize for BugReport {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            (String::from("workload"), self.workload.to_value()),
-            (String::from("kind"), self.kind.to_value()),
-            (String::from("site"), self.site.to_value()),
-            (String::from("obj"), self.obj.to_value()),
-            (String::from("time"), self.time.to_value()),
-            (String::from("exposed_in_run"), self.exposed_in_run.to_value()),
-            (String::from("total_runs"), self.total_runs.to_value()),
-            (String::from("delays_in_run"), self.delays_in_run.to_value()),
-            (String::from("delayed_sites"), self.delayed_sites.to_value()),
-            (
-                String::from("thread_contexts"),
-                self.thread_contexts.to_value(),
-            ),
-        ];
-        if !self.memory_model.is_sc() {
-            fields.push((String::from("memory_model"), self.memory_model.to_value()));
-        }
-        Value::Map(fields)
-    }
-}
-
-impl Deserialize for BugReport {
-    fn from_value(v: &Value) -> Result<Self, serde::value::Error> {
-        let m = v
-            .as_map()
-            .ok_or_else(|| serde::value::Error::expected("map", v))?;
-        fn req<T: Deserialize>(
-            m: &[(String, Value)],
-            name: &'static str,
-        ) -> Result<T, serde::value::Error> {
-            match serde::value::get(m, name) {
-                Some(x) => T::from_value(x),
-                None => Deserialize::missing_field(name),
-            }
-        }
-        Ok(BugReport {
-            workload: req(m, "workload")?,
-            kind: req(m, "kind")?,
-            site: req(m, "site")?,
-            obj: req(m, "obj")?,
-            time: req(m, "time")?,
-            exposed_in_run: req(m, "exposed_in_run")?,
-            total_runs: req(m, "total_runs")?,
-            delays_in_run: req(m, "delays_in_run")?,
-            delayed_sites: req(m, "delayed_sites")?,
-            thread_contexts: req(m, "thread_contexts")?,
-            memory_model: match serde::value::get(m, "memory_model") {
-                Some(x) => MemoryModel::from_value(x)?,
-                None => MemoryModel::Sc,
-            },
-        })
-    }
 }
 
 impl BugReport {
