@@ -55,6 +55,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use waffle_sim::Workload;
 use waffle_telemetry::TelemetrySummary;
+use waffle_trace::fnv1a;
 
 use crate::detector::{Detector, DetectorConfig, Tool};
 use crate::engine::{attempt_seed, panic_message};
@@ -161,15 +162,6 @@ pub struct CampaignManifest {
     pub config: CampaignConfig,
     /// The grid, in canonical cell order.
     pub cells: Vec<CellSpec>,
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn fingerprint(config: &CampaignConfig, cells: &[CellSpec]) -> u64 {

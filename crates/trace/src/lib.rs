@@ -35,7 +35,7 @@ pub use index::{
 };
 pub use ingest::{SealOutput, SessionIndexBuilder};
 pub use segment::{
-    ColumnSlice, SegmentCatalog, SegmentClass, SegmentColumns, SegmentMeta, SegmentReader,
+    fnv1a, ColumnSlice, SegmentCatalog, SegmentClass, SegmentColumns, SegmentMeta, SegmentReader,
     SegmentWriteStats, SegmentWriter,
 };
 pub use recorder::{ClockProtocol, TraceRecorder};
